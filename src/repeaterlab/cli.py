@@ -29,7 +29,6 @@ import tempfile
 import numpy as np
 
 from . import estimators, markov, protocols, simulator
-from ._threads import parallel_map
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -406,7 +405,7 @@ def cmd_sweep(args) -> int:
         raise CliValidationError("sweep spec must be a JSON object")
     plan = _SweepPlan(spec)
     combos = plan.grid()
-    results = parallel_map(plan.evaluate, combos)
+    results = [plan.evaluate(combo) for combo in combos]
     header = [name for name, _ in plan.varied] + list(plan.outputs)
     lines = [",".join(header)]
     for combo, metrics in zip(combos, results):
@@ -471,6 +470,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.trajectories < 2:
+        raise CliValidationError(
+            f"compare needs --trajectories >= 2 for a standard error, got {args.trajectories}")
     label, chain, run = _sim_target(args)
     config = _sim_config_from_args(args)
     result = run(config)

@@ -130,8 +130,8 @@ class ProtocolChain:
             raise ProtocolError("labels length must match matrix dimension")
         if self.success_state == self.start_state:
             raise ProtocolError("success and start states must differ")
-        if not self.tau > 0.0:
-            raise ProtocolError(f"tau must be positive, got {self.tau!r}")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ProtocolError(f"tau must be positive and finite, got {self.tau!r}")
         # restart-after-success: delivering a pair resets the protocol
         if not np.array_equal(self.matrix[self.success_state], self.matrix[self.start_state]):
             raise ProtocolError("success-state row must equal start-state row")

@@ -7,9 +7,14 @@ communication delays).
 
 Determinism contract: every trajectory owns an independent RNG stream
 derived from (seed, trajectory_index), and all reductions are ordered by
-trajectory index, so results are bit-identical regardless of batching or
-thread count. Trajectories are walked in vectorized lock-step batches for
-speed; each trajectory still consumes only its own stream.
+trajectory index, so results depend on the seed alone, never on batch or
+chunk sizes. Trajectories are walked in vectorized lock-step batches, one
+batch after another on the calling thread; each trajectory still consumes
+only its own stream.
+
+The chain walker buckets each chunk of draws once against the merged
+breakpoints of all cumulative rows; a bucket fixes the next state from
+every state, so a step is one gather from a successor table.
 """
 from __future__ import annotations
 
@@ -18,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import parallel_map
 from .estimators import ArgumentRangeError
 from .protocols import ProtocolChain
 
 _RNG_ALGORITHMS = ("philox", "pcg64")
-_BATCH = 256          # trajectories walked in one lock-step batch
-_CHUNK_DRAWS = 2**20  # uniforms drawn per trajectory-batch chunk, memory knob
+_BATCH = 1024         # trajectories per lock-step batch; the CLI default of 1000 is one
+_CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the draw and bucket
+                      # arrays (about 17 bytes per draw in the walker), not the results
+_CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,14 @@ def _batches(total: int) -> list[range]:
     return [range(lo, min(lo + _BATCH, total)) for lo in range(0, total, _BATCH)]
 
 
+def _draw(gens, shape: tuple) -> np.ndarray:
+    """The next block of uniforms of each generator, stacked along axis 0."""
+    out = np.empty((len(gens), *shape))
+    for g, block in zip(gens, out):
+        g.random(out=block)
+    return out
+
+
 def _finish(counts: np.ndarray, config: SimConfig, t0: float) -> SimulationResult:
     rates = counts / config.steps_per_trajectory
     var = float(rates.var(ddof=1)) if len(rates) > 1 else 0.0
@@ -91,36 +105,69 @@ def _finish(counts: np.ndarray, config: SimConfig, t0: float) -> SimulationResul
     )
 
 
+def _successor_table(cum: np.ndarray):
+    """Sorted breakpoints of all rows and the flat next-state table.
+
+    A draw's bucket b is the number of edges <= u. It fixes the next state
+    from every state s: successor[b * n + s] = #{j : cum[s, j] <= u}. This
+    is exact because every breakpoint cum[s, j] is an edge.
+    """
+    edges = np.unique(cum)
+    successor = np.zeros((len(edges) + 1, len(cum)), dtype=np.intp)
+    for s, row in enumerate(cum):
+        successor[1:, s] = np.searchsorted(np.sort(row), edges, side="right")
+    return edges, successor.ravel()
+
+
 def simulate_chain(chain: ProtocolChain, config: SimConfig) -> SimulationResult:
     """Walk the chain for steps_per_trajectory transitions per trajectory.
 
     Counts visits to the success state among steps 1..steps (the start
     state itself is not counted). Sampling inverts each row's cumulative
-    distribution against one uniform draw per step.
+    distribution against one uniform draw per step, through the bucket of
+    the draw (see _successor_table).
     """
     cum = np.cumsum(chain.matrix.rows, axis=1)
     cum[:, -1] = 1.0  # kill cumulative round-off; draws live in [0, 1)
+    n = chain.n
+    edges, successor = _successor_table(cum)
+    hits = successor == chain.success_state
+    # a draw in cell m = floor(u * _CELLS) lies in bucket below[m] unless an
+    # edge falls strictly inside the cell; only those draws are searched
+    grid = np.arange(_CELLS + 1) / _CELLS
+    below = np.searchsorted(edges, grid, side="right")
+    cell_offset = below[:-1] * n
+    cell_split = np.searchsorted(edges, grid[1:], side="left") != below[:-1]
     steps = config.steps_per_trajectory
-    chunk = max(1, _CHUNK_DRAWS // _BATCH)
+
+    def walk_chunk(gens, csize: int, states: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        uniforms = _draw(gens, (csize,))
+        # table offsets bucket * n in (step, trajectory) layout, so that each
+        # step reads one contiguous row
+        cells = np.empty((csize, len(gens)), dtype=np.intp)
+        np.multiply(uniforms.T, _CELLS, out=cells, casting="unsafe")  # floor(u * _CELLS)
+        split = np.flatnonzero(cell_split.take(cells))
+        exact = np.searchsorted(edges, uniforms.T.flat[split], side="right") * n
+        del uniforms  # free the draws before the offsets are allocated
+        offsets = cell_offset.take(cells)
+        offsets.flat[split] = exact
+        for index in offsets:
+            index += states
+            states = successor.take(index)
+        counts += np.count_nonzero(hits.take(offsets), axis=0)
+        return states
 
     def run_batch(batch: range) -> np.ndarray:
         gens = [_trajectory_generator(config, i) for i in batch]
-        b = len(gens)
-        states = np.full(b, chain.start_state, dtype=np.int64)
-        counts = np.zeros(b, dtype=np.int64)
-        done = 0
-        while done < steps:
-            csize = min(chunk, steps - done)
-            uniforms = np.stack([g.random(csize) for g in gens])
-            for c in range(csize):
-                rows = cum[states]
-                states = (rows <= uniforms[:, c, None]).sum(axis=1)
-                counts += states == chain.success_state
-            done += csize
+        chunk = max(1, _CHUNK_DRAWS // len(gens))
+        states = np.full(len(gens), chain.start_state, dtype=np.intp)
+        counts = np.zeros(len(gens), dtype=np.int64)
+        for done in range(0, steps, chunk):
+            states = walk_chunk(gens, min(chunk, steps - done), states, counts)
         return counts
 
     t0 = time.perf_counter()
-    parts = parallel_map(run_batch, _batches(config.trajectories))
+    parts = [run_batch(batch) for batch in _batches(config.trajectories)]
     return _finish(np.concatenate(parts), config, t0)
 
 
@@ -166,18 +213,18 @@ def simulate_nested(k: int, p: float, config: SimConfig,
         raise ArgumentRangeError("p", p, "(0, 1]")
     leaves = 1 << k
     steps = config.steps_per_trajectory
-    chunk = max(1, _CHUNK_DRAWS // (_BATCH * leaves))
 
     def run_batch(batch: range) -> np.ndarray:
         gens = [_trajectory_generator(config, i) for i in batch]
         b = len(gens)
+        chunk = max(1, _CHUNK_DRAWS // (b * leaves))
         seg = [np.zeros((b, leaves >> j), dtype=bool) for j in range(k + 1)]
         timer = [None] + [np.zeros((b, leaves >> j), dtype=np.int32) for j in range(1, k + 1)]
         counts = np.zeros(b, dtype=np.int64)
         done = 0
         while done < steps:
             csize = min(chunk, steps - done)
-            uniforms = np.stack([g.random((csize, leaves)) for g in gens])
+            uniforms = _draw(gens, (csize, leaves))
             for c in range(csize):
                 busy_at_step_start = _nested_coverage(seg, timer, k, leaves)
 
@@ -220,5 +267,5 @@ def simulate_nested(k: int, p: float, config: SimConfig,
         return counts
 
     t0 = time.perf_counter()
-    parts = parallel_map(run_batch, _batches(config.trajectories))
+    parts = [run_batch(batch) for batch in _batches(config.trajectories)]
     return _finish(np.concatenate(parts), config, t0)

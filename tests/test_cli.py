@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repeaterlab import cli, protocols
+from repeaterlab import cli, protocols, simulator
 from repeaterlab.cli import main
 
 
@@ -85,6 +85,10 @@ class TestAnalyze:
             ("analyze", "--protocol", "multiherald", "--probs", "0.5,1.5"),
             ("analyze", "--protocol", "shs", "--pl", "1,1", "--pr", "1", "--ps", "1"),
             ("analyze", "--protocol", "shs", "--pl", "0.5", "--pr", "0.5"),
+            ("analyze", "--protocol", "shs", "--pl", "0.5", "--pr", "0.5", "--ps", "1",
+             "--tau", "inf"),
+            ("analyze", "--protocol", "shs", "--pl", "0.5", "--pr", "0.5", "--ps", "1",
+             "--tau", "nan"),
             ("analyze", "--protocol", "multiherald", "--probs", "0.5",
              "--params-json", "x.json"),
             ("analyze",),
@@ -317,6 +321,20 @@ class TestCompare:
         lines = out.strip().splitlines()
         assert [row.split(",")[0] for row in lines[1:]] \
             == ["nested_type1_rate", "nested_type2_rate"]
+
+    def test_single_trajectory_rejected_before_simulating(self, capsys, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("compare simulated before validating --trajectories")
+        monkeypatch.setattr(simulator, "simulate_chain", no_simulation)
+        monkeypatch.setattr(simulator, "simulate_nested", no_simulation)
+        for target in (("--nested", "--k", "1", "--p", "0.5"),
+                       ("--protocol", "shs", "--pl", "0.5", "--pr", "0.5", "--ps", "1")):
+            code, out, err = run_cli(capsys, "compare", *target, "--steps", "10",
+                                     "--trajectories", "1", "--seed", "1")
+            assert code == 2 and out == ""
+            error = json.loads(err)["error"]
+            assert error["category"] == "validation"
+            assert "--trajectories >= 2" in error["message"]
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "cmp.csv"

@@ -51,8 +51,9 @@ class TestParamObjects:
         assert protocols.protocol_name(TwoLinkParams((0.5, 0.5), (0.5, 0.5), 1.0)) == "dhs"
 
     def test_chain_requires_positive_tau(self):
-        with pytest.raises(protocols.ProtocolError):
-            build_chain(MultiHeraldParams((0.5,)), tau=0.0)
+        for tau in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(protocols.ProtocolError):
+                build_chain(MultiHeraldParams((0.5,)), tau=tau)
 
 
 class TestMultiHeraldMatrix:

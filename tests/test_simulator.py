@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,20 +8,57 @@ import pytest
 
 from repeaterlab import markov, simulator
 from repeaterlab.estimators import ArgumentRangeError
-from repeaterlab.protocols import MultiHeraldParams, TwoLinkParams, build_chain
+from repeaterlab.protocols import MultiHeraldParams, ProtocolChain, TwoLinkParams, build_chain
 from repeaterlab.simulator import SimConfig, simulate_chain, simulate_nested
 
 
-def run_with_thread_cap(cap, fn):
-    old = os.environ.get("REPEATERLAB_THREADS")
-    os.environ["REPEATERLAB_THREADS"] = str(cap)
-    try:
-        return fn()
-    finally:
-        if old is None:
-            del os.environ["REPEATERLAB_THREADS"]
-        else:
-            os.environ["REPEATERLAB_THREADS"] = old
+def chain_from_rows(rows) -> ProtocolChain:
+    """A chain starting in state 0 whose last state, sharing row 0, is the success."""
+    rows = np.array(rows, dtype=float)
+    rows[-1] = rows[0]
+    n = len(rows)
+    return ProtocolChain(markov.validate(rows), tuple(map(str, range(n))), 0, n - 1, 1.0)
+
+
+def reference_counts(chain, draws) -> tuple[int, ...]:
+    """Success counts by inverting each visited row against each draw, one step at a time."""
+    cum = np.cumsum(chain.matrix.rows, axis=1)
+    cum[:, -1] = 1.0
+    counts = []
+    for trajectory in draws:
+        state, hits = chain.start_state, 0
+        for u in trajectory:
+            state = int((cum[state] <= u).sum())
+            hits += state == chain.success_state
+        counts.append(hits)
+    return tuple(counts)
+
+
+# rows whose breakpoints sit inside grid cells, on cell edges, at 0, and
+# (within the row-sum tolerance) above 1 before the last column
+REFERENCE_ROWS = {
+    "dense": np.random.default_rng(3).dirichlet(np.ones(9), size=9),
+    "dyadic": [[0.0, 0.5, 0.25, 0.125, 0.125],
+               [1 / 4096, 0.0, 4095 / 4096, 0.0, 0.0],
+               [0.375, 0.0, 0.0, 0.625, 0.0],
+               [0.0, 0.0, 0.0, 0.0, 1.0],
+               [0.0] * 5],
+    "overshoot": [[0.5, 0.5 + 5e-13, 0.0],
+                  [1 / 3, 1 / 3, 1 / 3],
+                  [0.0] * 3],
+}
+
+
+class ReplayGenerator:
+    """Stands in for a trajectory generator and hands out fixed draws in order."""
+
+    def __init__(self, draws):
+        self.draws = draws
+        self.used = 0
+
+    def random(self, out):
+        out.flat[:] = self.draws[self.used:self.used + out.size]
+        self.used += out.size
 
 
 class TestConfig:
@@ -96,12 +134,28 @@ class TestChainWalker:
                                             trajectories=6))
         assert a.success_counts != b.success_counts
 
-    def test_thread_cap_does_not_change_results(self):
-        chain = build_chain(MultiHeraldParams((0.3, 0.8)))
-        cfg = SimConfig(seed=5, steps_per_trajectory=2_000, trajectories=700)
-        counts = [run_with_thread_cap(c, lambda: simulate_chain(chain, cfg).success_counts)
-                  for c in (1, 4)]
-        assert counts[0] == counts[1]
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_ROWS))
+    def test_matches_stepwise_reference(self, kind):
+        chain = chain_from_rows(REFERENCE_ROWS[kind])
+        cfg = SimConfig(seed=8, steps_per_trajectory=1_500, trajectories=12)
+        draws = [simulator._trajectory_generator(cfg, i).random(1_500) for i in range(12)]
+        assert simulate_chain(chain, cfg).success_counts == reference_counts(chain, draws)
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_ROWS))
+    def test_draws_on_and_beside_breakpoints(self, kind, monkeypatch):
+        # every breakpoint, its neighbouring doubles, 0 and the largest draw below 1
+        chain = chain_from_rows(REFERENCE_ROWS[kind])
+        cum = np.cumsum(chain.matrix.rows, axis=1)
+        points = np.unique(cum[cum < 1.0])
+        pool = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                               [0.0, np.nextafter(1.0, 0.0)]])
+        pool = pool[(pool >= 0.0) & (pool < 1.0)]  # the range of Generator.random
+        rng = np.random.default_rng(4)
+        draws = [rng.permutation(np.resize(pool, 600)) for _ in range(5)]
+        monkeypatch.setattr(simulator, "_trajectory_generator",
+                            lambda config, index: ReplayGenerator(draws[index]))
+        cfg = SimConfig(seed=0, steps_per_trajectory=600, trajectories=5)
+        assert simulate_chain(chain, cfg).success_counts == reference_counts(chain, draws)
 
     def test_trajectory_prefix_stability(self):
         # adding trajectories must not disturb earlier ones: streams are
@@ -154,12 +208,6 @@ class TestNestedEngine:
         assert simulate_nested(2, 0.5, cfg).success_counts \
             == simulate_nested(2, 0.5, cfg).success_counts
 
-    def test_thread_cap_does_not_change_results(self):
-        cfg = SimConfig(seed=13, steps_per_trajectory=1_500, trajectories=600)
-        counts = [run_with_thread_cap(c, lambda: simulate_nested(2, 0.6, cfg).success_counts)
-                  for c in (1, 3)]
-        assert counts[0] == counts[1]
-
     def test_invariants_hold_under_checking(self):
         cfg = SimConfig(seed=21, steps_per_trajectory=4_000, trajectories=8)
         for k, p in [(1, 0.9), (2, 0.5), (3, 0.3)]:
@@ -181,6 +229,100 @@ class TestNestedEngine:
         cfg = SimConfig(seed=9, steps_per_trajectory=10_000, trajectories=30)
         rates = [simulate_nested(k, 0.7, cfg).mean_throughput for k in (1, 2, 3)]
         assert rates[0] > rates[1] > rates[2]
+
+
+def counts_digest(counts) -> str:
+    return hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest()[:16]
+
+
+GOLDEN_CHAINS = {
+    "mh2": MultiHeraldParams((0.3, 0.8)),
+    "mh3": MultiHeraldParams((0.4, 0.6, 0.9)),
+    "mh11": MultiHeraldParams((1.0, 1.0)),
+    "shs": TwoLinkParams((0.4,), (0.7,), 0.6),
+    "dhs": TwoLinkParams((0.5, 0.6), (0.7, 0.4), 0.9),
+}
+
+# digests of success_counts at seed 5, keyed by (chain, rng, trajectories, steps)
+GOLDEN_CHAIN_COUNTS = {
+    ("mh2", "philox", 1, 5000): "eef79a6a04f78a54",
+    ("mh2", "philox", 700, 2000): "311322b049ef2faf",
+    ("mh2", "philox", 1100, 600): "d6a72bb66a6c423f",
+    ("mh2", "pcg64", 1, 5000): "b312d5fbcfab403a",
+    ("mh2", "pcg64", 700, 2000): "6871e58058964968",
+    ("mh2", "pcg64", 1100, 600): "95c796c7143d4b31",
+    ("mh3", "philox", 1, 5000): "09eac95eb995b821",
+    ("mh3", "philox", 700, 2000): "5d2b9407da679906",
+    ("mh3", "philox", 1100, 600): "027b36c446df4112",
+    ("mh3", "pcg64", 1, 5000): "24be8ee76308afb9",
+    ("mh3", "pcg64", 700, 2000): "69a25345621133e2",
+    ("mh3", "pcg64", 1100, 600): "ae2a6676408d2414",
+    ("mh11", "philox", 1, 5000): "5a0b83e19c5750ee",
+    ("mh11", "philox", 700, 2000): "98375df63d2eb9c0",
+    ("mh11", "philox", 1100, 600): "c5006482bc74cd30",
+    ("mh11", "pcg64", 1, 5000): "5a0b83e19c5750ee",
+    ("mh11", "pcg64", 700, 2000): "98375df63d2eb9c0",
+    ("mh11", "pcg64", 1100, 600): "c5006482bc74cd30",
+    ("shs", "philox", 1, 5000): "501a4e61aa4f7737",
+    ("shs", "philox", 700, 2000): "633eaf2d8aea1821",
+    ("shs", "philox", 1100, 600): "c8fef8a06d21b5f5",
+    ("shs", "pcg64", 1, 5000): "ce02d4b6d1aceeea",
+    ("shs", "pcg64", 700, 2000): "ae4542fbab6576d2",
+    ("shs", "pcg64", 1100, 600): "f07c3410c3030dc6",
+    ("dhs", "philox", 1, 5000): "8952115444bab6de",
+    ("dhs", "philox", 700, 2000): "09980468c789ae55",
+    ("dhs", "philox", 1100, 600): "7791b50c71b3df39",
+    ("dhs", "pcg64", 1, 5000): "7182dd431b5c8833",
+    ("dhs", "pcg64", 700, 2000): "4d2c6ddbac96615c",
+    ("dhs", "pcg64", 1100, 600): "158a18037289b8b3",
+}
+
+# digests of success_counts at seed 13, keyed by (k, p, rng, trajectories, steps)
+GOLDEN_NESTED_COUNTS = {
+    (1, 0.5, "philox", 1100, 700): "b7ba82d86525f654",
+    (1, 0.5, "pcg64", 1100, 700): "fe6a1b6fcce98c68",
+    (2, 0.6, "philox", 600, 1500): "1feb409b4e81658a",
+    (2, 0.6, "pcg64", 600, 1500): "75c1e6a4712c7ace",
+    (3, 0.3, "philox", 700, 300): "42c821f953d11178",
+    (3, 0.3, "pcg64", 700, 300): "642f559cd2cf060a",
+}
+
+
+class TestGoldenCounts:
+    """Exact per-trajectory counts pinned by digest.
+
+    Any change to the sampling, stepping, batching or chunking that moves a
+    single count fails here. The shapes cross batch and draw-chunk
+    boundaries: 1100 trajectories span two batches, and the step counts
+    span more than one chunk.
+    """
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_CHAIN_COUNTS), ids=lambda key: "-".join(map(str, key)))
+    def test_chain_counts(self, key):
+        name, rng, trajectories, steps = key
+        cfg = SimConfig(seed=5, steps_per_trajectory=steps, trajectories=trajectories,
+                        rng_algorithm=rng)
+        res = simulate_chain(build_chain(GOLDEN_CHAINS[name]), cfg)
+        assert counts_digest(res.success_counts) == GOLDEN_CHAIN_COUNTS[key]
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_NESTED_COUNTS), ids=lambda key: "-".join(map(str, key)))
+    def test_nested_counts(self, key):
+        k, p, rng, trajectories, steps = key
+        cfg = SimConfig(seed=13, steps_per_trajectory=steps, trajectories=trajectories,
+                        rng_algorithm=rng)
+        res = simulate_nested(k, p, cfg)
+        assert counts_digest(res.success_counts) == GOLDEN_NESTED_COUNTS[key]
+
+    def test_small_chunks_give_the_same_counts(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 2**16)
+        chain = simulate_chain(build_chain(GOLDEN_CHAINS["dhs"]),
+                               SimConfig(seed=5, steps_per_trajectory=600, trajectories=1100))
+        assert counts_digest(chain.success_counts) \
+            == GOLDEN_CHAIN_COUNTS[("dhs", "philox", 1100, 600)]
+        nested = simulate_nested(3, 0.3, SimConfig(seed=13, steps_per_trajectory=300,
+                                                   trajectories=700))
+        assert counts_digest(nested.success_counts) \
+            == GOLDEN_NESTED_COUNTS[(3, 0.3, "philox", 700, 300)]
 
 
 class TestProcessLevelDeterminism:
