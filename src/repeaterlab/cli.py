@@ -330,6 +330,10 @@ class _SweepPlan:
         else:
             self.sim_config = None
 
+        # every point is checked before any is evaluated, so a bad point late
+        # in the grid fails the run before earlier points are simulated
+        self.points = [(combo, self.params_for(self.slots_for(combo))) for combo in self.grid()]
+
     def grid(self):
         axes = [axis for _, axis in self.varied]
         return list(itertools.product(*axes))
@@ -344,22 +348,28 @@ class _SweepPlan:
                 assignment[slot] = float(value)
         return assignment
 
-    def chain_for(self, slots) -> protocols.ProtocolChain:
-        if self.protocol == "multiherald":
-            params = protocols.MultiHeraldParams(
-                tuple(slots[f"p{i}"] for i in range(1, self.n_rounds + 1)))
-        elif self.protocol == "shs":
-            params = protocols.TwoLinkParams((slots["pl"],), (slots["pr"],), slots["ps"])
-        else:
-            params = protocols.TwoLinkParams((slots["pl1"], slots["pl2"]),
-                                             (slots["pr1"], slots["pr2"]), slots["ps"])
-        return protocols.build_chain(params, self.tau)
-
-    def evaluate(self, combo) -> list[float]:
-        slots = self.slots_for(combo)
+    def params_for(self, slots):
+        """The validated parameters of one point: protocol params, or (k, p) for nested."""
         if self.protocol == "nested":
-            return self._evaluate_nested(slots)
-        chain = self.chain_for(slots)
+            k, p = slots["k"], slots["p"]
+            if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9 and round(k) >= 1):
+                raise CliValidationError(f"nesting level k must be an integer >= 1, got {k!r}")
+            if not 0.0 < p <= 1.0:
+                raise CliValidationError(f"nested p must lie in (0, 1], got {p!r}")
+            return int(round(k)), p
+        if self.protocol == "multiherald":
+            return protocols.MultiHeraldParams(
+                tuple(slots[f"p{i}"] for i in range(1, self.n_rounds + 1)))
+        if self.protocol == "shs":
+            return protocols.TwoLinkParams((slots["pl"],), (slots["pr"],), slots["ps"])
+        return protocols.TwoLinkParams((slots["pl1"], slots["pl2"]),
+                                       (slots["pr1"], slots["pr2"]), slots["ps"])
+
+    def evaluate(self, params) -> list[float]:
+        """The output metrics at one point, from its params_for result."""
+        if self.protocol == "nested":
+            return self._evaluate_nested(*params)
+        chain = protocols.build_chain(params, self.tau)
         values = []
         latency = None
         for metric in self.outputs:
@@ -381,12 +391,7 @@ class _SweepPlan:
                 values.append(simulator.simulate_chain(chain, self.sim_config).mean_throughput)
         return values
 
-    def _evaluate_nested(self, slots) -> list[float]:
-        p = slots["p"]
-        k = slots["k"]
-        if abs(k - round(k)) > 1e-9:
-            raise CliValidationError(f"nesting level k must be an integer, got {k!r}")
-        k = int(round(k))
+    def _evaluate_nested(self, k: int, p: float) -> list[float]:
         values = []
         for metric in self.outputs:
             if metric == "nested_type1":
@@ -404,11 +409,10 @@ def cmd_sweep(args) -> int:
     if not isinstance(spec, dict):
         raise CliValidationError("sweep spec must be a JSON object")
     plan = _SweepPlan(spec)
-    combos = plan.grid()
-    results = [plan.evaluate(combo) for combo in combos]
     header = [name for name, _ in plan.varied] + list(plan.outputs)
     lines = [",".join(header)]
-    for combo, metrics in zip(combos, results):
+    for combo, params in plan.points:
+        metrics = plan.evaluate(params)
         lines.append(",".join([_fmt(v) for v in combo] + [_fmt(v) for v in metrics]))
     _atomic_write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK

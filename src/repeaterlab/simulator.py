@@ -15,6 +15,10 @@ only its own stream.
 The chain walker buckets each chunk of draws once against the merged
 breakpoints of all cumulative rows; a bucket fixes the next state from
 every state, so a step is one gather from a successor table.
+
+The nested engine steps from round to round, not slot by slot: each chunk
+of draws becomes next-success steps per link, and a round's swap tree is
+resolved by k pairwise maxima over the success steps of its links.
 """
 from __future__ import annotations
 
@@ -171,41 +175,38 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> SimulationResult:
     return _finish(np.concatenate(parts), config, t0)
 
 
-def _nested_coverage(seg, timer, k: int, leaves: int) -> np.ndarray:
-    """Boolean (batch, leaves) map of links held by any segment or pending swap."""
-    busy = np.zeros_like(seg[0])
-    busy |= seg[0]
-    for j in range(1, k + 1):
-        active = seg[j] | (timer[j] > 0)
-        busy |= np.repeat(active, 1 << j, axis=1)
-    return busy
+def _next_successes(gens, csize: int, leaves: int, p: float) -> np.ndarray:
+    """Next-success steps for the next chunk of draws, int32 (batch, csize, leaves).
+
+    nxt[b, t, l] is the first step >= t of the chunk, counted from its
+    start, at which link l of trajectory b succeeds, or csize if none does.
+    """
+    hit = _draw(gens, (csize, leaves)) < p
+    # t where link l succeeds at step t, else csize
+    nxt = hit * (np.arange(csize, dtype=np.int32) - np.int32(csize))[:, None]
+    del hit
+    nxt += np.int32(csize)
+    backward = nxt[:, ::-1]
+    np.minimum.accumulate(backward, axis=1, out=backward)
+    return nxt
 
 
-def _check_nested_state(seg, timer, k: int):
-    cover = seg[0].astype(np.int32)
-    for j in range(1, k + 1):
-        if (seg[j] & (timer[j] > 0)).any():
-            raise RuntimeError("nested invariant violated: segment and pending swap coexist")
-        cover = cover + np.repeat((seg[j] | (timer[j] > 0)).astype(np.int32), 1 << j, axis=1)
-    if cover.max(initial=0) > 1:
-        raise RuntimeError("nested invariant violated: overlapping spans")
-
-
-def simulate_nested(k: int, p: float, config: SimConfig,
-                    check_invariants: bool = False) -> SimulationResult:
+def simulate_nested(k: int, p: float, config: SimConfig) -> SimulationResult:
     """Discrete-time simulation of a 2^k-link nested swapping chain.
 
-    Per step: idle elementary links attempt generation with probability p;
+    Idle elementary links attempt generation with probability p per step;
     two sibling segments at level j-1 start a level-j swap that completes
     after 2^(j-1) steps (classical heralding over the doubled span) and
-    always succeeds; a completed top-level pair is consumed the step it
-    forms, freeing every link from the next step on. Swap starts are
-    evaluated after the step's generation outcomes; links under a pending
-    or completed swap do not regenerate.
+    always succeeds; the top-level pair is consumed the step it forms,
+    freeing every link from the next step on. Until then a link that
+    succeeded is held and does not regenerate.
 
-    check_invariants verifies the span bookkeeping after every step
-    (disjoint power-of-two segments, timers only between consumed
-    children); meant for debug-scale runs.
+    So a round starting at step s is fixed by the draws alone, and the
+    engine resolves whole rounds: link l succeeds at the first step t >= s
+    with u[t, l] < p, a level-j pair forms 2^(j-1) steps after the later of
+    its two children, and the top pair forms at step T, which scores if
+    T < steps; the next round starts at T + 1. Each trajectory reads one
+    row of 2^k uniforms per step, as a slot-by-slot engine would.
     """
     if not (isinstance(k, int) and k >= 1):
         raise ArgumentRangeError("k", k, ">= 1 integer")
@@ -213,57 +214,40 @@ def simulate_nested(k: int, p: float, config: SimConfig,
         raise ArgumentRangeError("p", p, "(0, 1]")
     leaves = 1 << k
     steps = config.steps_per_trajectory
+    never = np.iinfo(np.int64).max
 
     def run_batch(batch: range) -> np.ndarray:
         gens = [_trajectory_generator(config, i) for i in batch]
         b = len(gens)
         chunk = max(1, _CHUNK_DRAWS // (b * leaves))
-        seg = [np.zeros((b, leaves >> j), dtype=bool) for j in range(k + 1)]
-        timer = [None] + [np.zeros((b, leaves >> j), dtype=np.int32) for j in range(1, k + 1)]
+        start = np.zeros(b, dtype=np.int64)  # first step of each trajectory's current round
+        found = np.full((b, leaves), never)  # success steps of its links seen in earlier chunks
         counts = np.zeros(b, dtype=np.int64)
-        done = 0
-        while done < steps:
-            csize = min(chunk, steps - done)
-            uniforms = _draw(gens, (csize, leaves))
-            for c in range(csize):
-                busy_at_step_start = _nested_coverage(seg, timer, k, leaves)
-
-                # advance pending swaps; the top level scores and resets
-                for j in range(1, k + 1):
-                    t = timer[j]
-                    running = t > 0
-                    if not running.any():
-                        continue
-                    t[running] -= 1
-                    completed = running & (t == 0)
-                    if not completed.any():
-                        continue
-                    if j == k:
-                        consumed = completed[:, 0]
-                        counts[consumed] += 1
-                        for jj in range(k + 1):
-                            seg[jj][consumed] = False
-                            if jj > 0:
-                                timer[jj][consumed] = 0
-                    else:
-                        seg[j][completed] = True
-
-                # links idle at the start of the step attempt generation
-                seg[0] |= ~busy_at_step_start & (uniforms[:, c, :] < p)
-
-                # sibling segments merge: consume children, arm the timer
-                for j in range(1, k + 1):
-                    left = seg[j - 1][:, 0::2]
-                    right = seg[j - 1][:, 1::2]
-                    ready = left & right & (timer[j] == 0) & ~seg[j]
-                    if ready.any():
-                        timer[j][ready] = 1 << (j - 1)
-                        left[ready] = False
-                        right[ready] = False
-
-                if check_invariants:
-                    _check_nested_state(seg, timer, k)
-            done += csize
+        for lo in range(0, steps, chunk):
+            csize = min(chunk, steps - lo)
+            hi = lo + csize
+            nxt = _next_successes(gens, csize, leaves, p)
+            live = np.flatnonzero(start < hi)
+            carried = True
+            while live.size:
+                # success steps of this round's links, as absolute int64 steps
+                links = nxt[live, np.maximum(start[live] - lo, 0)] + np.int64(lo)
+                if carried:  # rounds begun in an earlier chunk keep their links
+                    links = np.minimum(links, found[live])
+                    found[live] = never
+                    carried = False
+                resolved = links.max(axis=1) < hi  # else carried into the next chunk
+                if not resolved.all():
+                    pending = ~resolved
+                    found[live[pending]] = np.where(links[pending] < hi, links[pending], never)
+                    live, links = live[resolved], links[resolved]
+                top = links
+                for j in range(k):
+                    top = top.reshape(len(live), leaves >> (j + 1), 2).max(axis=2) + (1 << j)
+                top = top[:, 0]
+                counts[live] += top < steps
+                start[live] = top + 1
+                live = live[top + 1 < hi]
         return counts
 
     t0 = time.perf_counter()

@@ -2,13 +2,16 @@
 
 Everything here works directly on the transition matrix with explicit path
 summation or dense matrix powers, deliberately avoiding the fundamental
-matrix algebra and the prefix-sum tricks used by the package.
+matrix algebra and the prefix-sum tricks used by the package. The nested
+engine's oracle steps its process one time slot at a time instead.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from repeaterlab import simulator
 
 
 def hitting_moments_bruteforce(rows, start: int, target: int,
@@ -138,3 +141,72 @@ def equilibrium_bruteforce(rows, iterations: int = 200_000) -> np.ndarray:
             return nxt
         v = nxt
     return v
+
+
+def nested_counts_stepwise(k: int, p: float, config) -> tuple[int, ...]:
+    """Success counts of the nested engine, stepped one time slot at a time.
+
+    The slot-by-slot form of the process that simulator.simulate_nested
+    resolves round by round, reading each trajectory's uniforms in the same
+    order (one row of 2^k draws per step). Per step: idle links attempt
+    generation with probability p; two sibling segments at level j-1 start
+    a level-j swap that completes 2^(j-1) steps later; a completed top-level
+    pair is consumed the step it forms and frees every link from the next
+    step on. Swap starts are evaluated after the step's generation outcomes,
+    and links under a pending or completed swap do not regenerate. The span
+    bookkeeping (disjoint power-of-two segments, timers only between
+    consumed children) is checked after every step. Debug-scale runs only.
+    """
+    leaves = 1 << k
+    steps = config.steps_per_trajectory
+    b = config.trajectories
+    uniforms = np.empty((b, steps, leaves))
+    for i in range(b):
+        simulator._trajectory_generator(config, i).random(out=uniforms[i])
+    seg = [np.zeros((b, leaves >> j), dtype=bool) for j in range(k + 1)]
+    timer = [None] + [np.zeros((b, leaves >> j), dtype=np.int32) for j in range(1, k + 1)]
+    counts = np.zeros(b, dtype=np.int64)
+
+    def spans(j):
+        # links under a level-j segment or pending level-j swap
+        return np.repeat(seg[j] | (timer[j] > 0), 1 << j, axis=1)
+
+    for c in range(steps):
+        busy_at_step_start = seg[0] | np.logical_or.reduce([spans(j) for j in range(1, k + 1)])
+
+        # advance pending swaps; the top level scores and resets
+        for j in range(1, k + 1):
+            t = timer[j]
+            running = t > 0
+            t[running] -= 1
+            completed = running & (t == 0)
+            if j == k:
+                consumed = completed[:, 0]
+                counts[consumed] += 1
+                for jj in range(k + 1):
+                    seg[jj][consumed] = False
+                    if jj > 0:
+                        timer[jj][consumed] = 0
+            else:
+                seg[j][completed] = True
+
+        # links idle at the start of the step attempt generation
+        seg[0] |= ~busy_at_step_start & (uniforms[:, c, :] < p)
+
+        # sibling segments merge: consume children, arm the timer
+        for j in range(1, k + 1):
+            left = seg[j - 1][:, 0::2]
+            right = seg[j - 1][:, 1::2]
+            ready = left & right & (timer[j] == 0) & ~seg[j]
+            timer[j][ready] = 1 << (j - 1)
+            left[ready] = False
+            right[ready] = False
+
+        cover = seg[0].astype(np.int32)
+        for j in range(1, k + 1):
+            if (seg[j] & (timer[j] > 0)).any():
+                raise RuntimeError("nested invariant violated: segment and pending swap coexist")
+            cover += spans(j)
+        if cover.max(initial=0) > 1:
+            raise RuntimeError("nested invariant violated: overlapping spans")
+    return tuple(int(c) for c in counts)

@@ -164,16 +164,18 @@ class TestSimulate:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
 
-    def test_csv_byte_identical_across_thread_caps(self, tmp_path):
+    def test_csv_byte_identical_across_interpreters(self, tmp_path):
+        # two fresh interpreters with different string hashing: the counts
+        # may depend on the seed alone, not on hash or set ordering
         argv = ["-m", "repeaterlab", "simulate", "--protocol", "shs",
                 "--pl", "0.5", "--pr", "0.6", "--ps", "0.9",
                 "--steps", "2000", "--trajectories", "30", "--seed", "17"]
         blobs = []
-        for cap in ("1", "6"):
-            dest = tmp_path / f"run_{cap}.csv"
-            env = dict(os.environ, REPEATERLAB_THREADS=cap)
+        for hashseed in ("0", "1"):
+            dest = tmp_path / f"run_{hashseed}.csv"
+            env = dict(os.environ, PYTHONHASHSEED=hashseed)
             subprocess.run([sys.executable, *argv, "--csv-out", str(dest),
-                            "--json-out", str(tmp_path / f"s{cap}.json")],
+                            "--json-out", str(tmp_path / f"s{hashseed}.json")],
                            env=env, check=True, capture_output=True)
             blobs.append(dest.read_bytes())
         assert blobs[0] == blobs[1]
@@ -284,6 +286,28 @@ class TestSweep:
             assert code == 2, payload
             assert not dest.exists()
             assert json.loads(err)["error"]["category"] == "validation"
+
+    @pytest.mark.parametrize("payload", [
+        {"protocol": "nested",
+         "varied_params": [{"name": "k", "start": 1, "stop": 4, "count": 3}],
+         "fixed_params": {"p": 0.5, "steps": 20000, "trajectories": 100},
+         "outputs": ["nested_type1", "simulated_mean"]},
+        {"protocol": "shs",
+         "varied_params": [{"name": "p", "start": 0.5, "stop": 1.5, "count": 3}],
+         "fixed_params": {"ps": 1.0, "steps": 20000, "trajectories": 100},
+         "outputs": ["equilibrium", "simulated_mean"]},
+    ], ids=["nested-k-2.5", "shs-p-1.5"])
+    def test_bad_late_point_rejected_before_simulating(self, capsys, tmp_path,
+                                                       monkeypatch, payload):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("sweep simulated before checking every point")
+        monkeypatch.setattr(simulator, "simulate_chain", no_simulation)
+        monkeypatch.setattr(simulator, "simulate_nested", no_simulation)
+        spec = self.write_spec(tmp_path, payload)
+        dest = tmp_path / "never.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 2 and not dest.exists()
+        assert json.loads(err)["error"]["category"] == "validation"
 
     def test_zero_varied_params_gives_single_row(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, {

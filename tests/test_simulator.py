@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from oracles import nested_counts_stepwise
 
 from repeaterlab import markov, simulator
 from repeaterlab.estimators import ArgumentRangeError
@@ -199,8 +201,7 @@ class TestNestedEngine:
         # top pair lands every `cycle` steps (2^(k-1) dominates the tail)
         steps = 4 * cycle + 1
         res = simulate_nested(k, 1.0, SimConfig(seed=0, steps_per_trajectory=steps,
-                                                trajectories=1),
-                              check_invariants=True)
+                                                trajectories=1))
         assert res.success_counts == (steps // cycle,)
 
     def test_same_seed_bit_identical(self):
@@ -209,9 +210,26 @@ class TestNestedEngine:
             == simulate_nested(2, 0.5, cfg).success_counts
 
     def test_invariants_hold_under_checking(self):
+        # the stepwise oracle checks its span bookkeeping after every step
         cfg = SimConfig(seed=21, steps_per_trajectory=4_000, trajectories=8)
         for k, p in [(1, 0.9), (2, 0.5), (3, 0.3)]:
-            simulate_nested(k, p, cfg, check_invariants=True)
+            assert nested_counts_stepwise(k, p, cfg) == simulate_nested(k, p, cfg).success_counts
+
+    @pytest.mark.parametrize("rng", ["philox", "pcg64"])
+    @pytest.mark.parametrize("p", [0.03, 0.25, 0.9, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_stepwise_oracle(self, k, p, rng, monkeypatch):
+        # 1030 trajectories span two batches; small draw chunks make rounds
+        # straddle chunks, down to one step per chunk
+        for steps, trajectories in itertools.product((1, 97), (1, 3, 1030)):
+            cfg = SimConfig(seed=31, steps_per_trajectory=steps, trajectories=trajectories,
+                            rng_algorithm=rng)
+            expect = nested_counts_stepwise(k, p, cfg)
+            for chunk_draws in (1, 7, 64, simulator._CHUNK_DRAWS):
+                with monkeypatch.context() as patch:
+                    patch.setattr(simulator, "_CHUNK_DRAWS", chunk_draws)
+                    assert simulate_nested(k, p, cfg).success_counts == expect, \
+                        (steps, trajectories, chunk_draws)
 
     def test_level_one_matches_chain_walker(self):
         # same process, two implementations: the walker samples the 5-state
@@ -327,7 +345,7 @@ class TestGoldenCounts:
 
 class TestProcessLevelDeterminism:
     def test_subprocess_reproducibility(self):
-        # fresh interpreters, different thread caps, byte-identical counts
+        # fresh interpreters with different string hashing, byte-identical counts
         code = (
             "from repeaterlab.simulator import SimConfig, simulate_nested\n"
             "r = simulate_nested(2, 0.45, SimConfig(seed=1234,"
@@ -335,8 +353,8 @@ class TestProcessLevelDeterminism:
             "print(r.success_counts)\n"
         )
         outputs = []
-        for cap in ("1", "8"):
-            env = dict(os.environ, REPEATERLAB_THREADS=cap)
+        for hashseed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed)
             proc = subprocess.run([sys.executable, "-c", code], env=env,
                                   capture_output=True, text=True, check=True)
             outputs.append(proc.stdout)
