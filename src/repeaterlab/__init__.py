@@ -21,9 +21,6 @@ from .markov import (
     equilibrium,
     fundamental_matrix,
     hitting_stats,
-    is_irreducible,
-    mean_return_time,
-    period,
     validate,
 )
 from .protocols import (
@@ -32,8 +29,7 @@ from .protocols import (
     TwoLinkParams,
     build_chain,
     build_multiheralded,
-    build_two_link_double_heralded,
-    build_two_link_single_heralded,
+    build_two_link,
     cf_bkp_exact_mean_throughput,
     cf_bkp_throughput_variance_leading,
     cf_equilibrium_multiheralded,
@@ -59,8 +55,7 @@ __all__ = [
     "TwoLinkParams",
     "build_chain",
     "build_multiheralded",
-    "build_two_link_double_heralded",
-    "build_two_link_single_heralded",
+    "build_two_link",
     "cf_bkp_exact_mean_throughput",
     "cf_bkp_throughput_variance_leading",
     "cf_equilibrium_multiheralded",
@@ -73,10 +68,7 @@ __all__ = [
     "exact_throughput_variance",
     "fundamental_matrix",
     "hitting_stats",
-    "is_irreducible",
-    "mean_return_time",
     "nested_throughput",
-    "period",
     "simulate_chain",
     "simulate_nested",
     "validate",

@@ -194,7 +194,7 @@ def cmd_analyze(args) -> int:
         "protocol": protocols.protocol_name(params),
         "params": json.loads(protocols.params_to_json(params, tau)),
         "labels": list(chain.labels),
-        "matrix": json.loads(markov.matrix_to_json(chain.matrix)),
+        "matrix": {"n": chain.n, "rows": chain.matrix.rows.tolist()},
         "equilibrium": {
             "by_state": {label: pi[i] for i, label in enumerate(chain.labels)},
             "success_probability": pi[chain.success_state],
@@ -319,7 +319,7 @@ class _SweepPlan:
 
         self.tau = float(fixed.get("tau", 1.0))
         self.horizon = _require_int("fixed_params.horizon", fixed.get("horizon", 100_000), 1)
-        if any(m in self.outputs for m in ("simulated_mean",)):
+        if "simulated_mean" in self.outputs:
             self.sim_config = simulator.SimConfig(
                 seed=_require_int("fixed_params.seed", fixed.get("seed", 0), 0),
                 steps_per_trajectory=_require_int(
@@ -352,11 +352,11 @@ class _SweepPlan:
         """The validated parameters of one point: protocol params, or (k, p) for nested."""
         if self.protocol == "nested":
             k, p = slots["k"], slots["p"]
-            if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9 and round(k) >= 1):
-                raise CliValidationError(f"nesting level k must be an integer >= 1, got {k!r}")
-            if not 0.0 < p <= 1.0:
-                raise CliValidationError(f"nested p must lie in (0, 1], got {p!r}")
-            return int(round(k)), p
+            if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
+                raise CliValidationError(f"nesting level k must be an integer, got {k!r}")
+            k = int(round(k))
+            estimators.check_nested(k, p)
+            return k, p
         if self.protocol == "multiherald":
             return protocols.MultiHeraldParams(
                 tuple(slots[f"p{i}"] for i in range(1, self.n_rounds + 1)))
@@ -421,7 +421,7 @@ def cmd_sweep(args) -> int:
 # -------------------------------------------------------- simulate/compare
 
 def _sim_target(args):
-    """Returns (label dict, run closure) for simulate/compare targets."""
+    """(label dict, chain or None for nested, run closure) of a simulate/compare target."""
     nested_flags = [name for name, val in (("--k", args.k), ("--p", args.p)) if val is not None]
     if args.nested:
         if args.protocol is not None or args.params_json is not None or args.probs is not None:
@@ -585,7 +585,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except NumericalOutputError as exc:
         return _fail("numerical", exc)
-    except (markov.MarkovError, np.linalg.LinAlgError) as exc:
+    except (markov.MarkovError, np.linalg.LinAlgError, ArithmeticError) as exc:
         return _fail("numerical", exc)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         return _fail("validation", exc)

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import markov
-from .protocols import ProtocolChain
+from .protocols import ProtocolChain, TwoLinkParams, cf_equilibrium_shs
 
 HORIZON_CAP = 1_000_000
+MAX_NESTED_K = 12  # 2^12 links: one step of draws for a batch of 1024 trajectories is 32 MiB
 
 
 class HorizonError(ValueError):
@@ -140,16 +141,15 @@ def exact_throughput_variance(chain: ProtocolChain, N: int) -> float:
     return (single + 2.0 * cross) / (N**2 * chain.tau**2)
 
 
-def estimate_throughput(chain: ProtocolChain, N: int, exact: bool = False,
-                        horizon_cap: int = HORIZON_CAP) -> ThroughputEstimate:
+def estimate_throughput(chain: ProtocolChain, N: int, exact: bool = False) -> ThroughputEstimate:
     """Long-run success rate plus naive and (optionally) exact N-step variance.
 
     Args:
         chain: protocol chain; its equilibrium must exist (reducible
             degenerate parameter corners surface solver errors instead).
-        N: horizon in steps for the variance of the rate estimator.
+        N: horizon in steps for the variance of the rate estimator, at most
+            ``HORIZON_CAP``.
         exact: also evaluate the exact finite-horizon variance; O(N) passes.
-        horizon_cap: guard against accidentally huge horizons.
 
     Returns:
         ThroughputEstimate with mean_rate = pi_success / tau and
@@ -157,8 +157,8 @@ def estimate_throughput(chain: ProtocolChain, N: int, exact: bool = False,
     """
     if N < 1:
         raise ArgumentRangeError("N", N, ">= 1")
-    if N > horizon_cap:
-        raise HorizonError(N, horizon_cap)
+    if N > HORIZON_CAP:
+        raise HorizonError(N, HORIZON_CAP)
     pi = markov.equilibrium(chain.matrix)
     p_succ = pi[chain.success_state]
     naive = p_succ * (1.0 - p_succ) / (N * chain.tau**2)
@@ -173,32 +173,28 @@ def estimate_latency(chain: ProtocolChain) -> LatencyEstimate:
     return LatencyEstimate(mean_steps * chain.tau, var_steps * chain.tau**2)
 
 
-def _two_link_rate(x: float, y: float) -> float:
-    # success-state equilibrium of the two-link single-heralded chain with a
-    # deterministic swap, as a bivariate function of the link probabilities
-    qx, qy = 1.0 - x, 1.0 - y
-    num = x * y * (1.0 - qx * qy)
-    den = 2.0 * x * y + qx * y**2 + qy * x**2 - x * y * qx * qy
-    return num / den
+def check_nested(k: int, p: float) -> None:
+    """Reject a nesting level k outside 1..MAX_NESTED_K or a link probability outside (0, 1]."""
+    if not (isinstance(k, int) and 1 <= k <= MAX_NESTED_K):
+        raise ArgumentRangeError("k", k, f"integers 1..{MAX_NESTED_K}")
+    if not 0.0 < p <= 1.0:
+        raise ArgumentRangeError("p", p, "(0, 1]")
 
 
 def nested_throughput(p: float, k: int, method: str) -> NestedEstimate:
     """Recursive throughput estimate for a 2^k-link nested swap chain.
 
-    Level 1 is the two-link rate at (p, p) with a deterministic swap. Each
+    Level 1 is the shs equilibrium at (p, p) with a deterministic swap. Each
     further level treats the previous level as an effective link: method
     "type1" rescales rates by the level's swap communication time 2^(k-1)
     on the way in and out; "type2" feeds the rate in unscaled. Arguments
     ever landing outside [0, 1] are clamped and flagged on the result.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ArgumentRangeError("k", k, ">= 1 integer")
-    if not 0.0 < p <= 1.0:
-        raise ArgumentRangeError("p", p, "(0, 1]")
+    check_nested(k, p)
     if method not in ("type1", "type2"):
         raise ArgumentRangeError("method", method, "'type1' or 'type2'")
 
-    rates = [_two_link_rate(p, p)]
+    rates = [cf_equilibrium_shs(TwoLinkParams((p,), (p,), 1.0))]
     clamp_events = []
     for level in range(2, k + 1):
         scale = float(2 ** (level - 1))
@@ -206,6 +202,6 @@ def nested_throughput(p: float, k: int, method: str) -> NestedEstimate:
         arg = min(max(raw, 0.0), 1.0)
         if arg != raw:
             clamp_events.append((level, raw))
-        step = _two_link_rate(arg, arg)
+        step = cf_equilibrium_shs(TwoLinkParams((arg,), (arg,), 1.0))
         rates.append(step / scale if method == "type1" else step)
     return NestedEstimate(k, tuple(rates), method, tuple(clamp_events))

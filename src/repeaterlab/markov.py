@@ -1,20 +1,17 @@
 """Finite discrete-time Markov chain analysis on dense row-stochastic matrices.
 
 Everything here works on small dense matrices (protocol chains have a handful
-of states), so direct linear algebra is always preferred over iterative or
-sparse methods. Power iteration is kept only as an independent cross-check
-for the equilibrium solver.
+of states), so the equilibrium and the hitting-time moments come from direct
+linear solves, not from iterative or sparse methods.
 """
 from __future__ import annotations
 
-import json
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 ROW_SUM_ATOL = 1e-12
+EQUILIBRIUM_RESIDUAL_TOL = 1e-12  # bound on max|pi P - pi| of a returned equilibrium
 
 
 class MarkovError(Exception):
@@ -40,18 +37,6 @@ class EntryRangeError(MarkovError):
         self.row = row
         self.col = col
         self.value = value
-
-
-class NoReturnPathError(MarkovError):
-    def __init__(self, state):
-        super().__init__(f"state {state} has no positive-probability return path")
-        self.state = state
-
-
-class NotConvergedError(MarkovError):
-    def __init__(self, iterations):
-        super().__init__(f"power iteration did not converge in {iterations} iterations")
-        self.iterations = iterations
 
 
 class SingularSystemError(MarkovError):
@@ -164,85 +149,19 @@ def _as_rows(matrix) -> np.ndarray:
     return validate(matrix).rows
 
 
-def _successors(support: np.ndarray) -> list[np.ndarray]:
-    return [np.flatnonzero(support[i]) for i in range(support.shape[0])]
+def equilibrium(matrix) -> Distribution:
+    """Stationary distribution pi with pi P = pi and sum(pi) = 1.
 
-
-def _reachable(adj: list[np.ndarray], start: int) -> np.ndarray:
-    """States reachable from ``start`` via paths of length >= 1."""
-    n = len(adj)
-    seen = np.zeros(n, dtype=bool)
-    queue = deque(adj[start])
-    for j in adj[start]:
-        seen[j] = True
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return seen
-
-
-def is_irreducible(matrix) -> bool:
-    """True iff the support graph is a single strongly connected component."""
-    rows = _as_rows(matrix)
-    support = rows > 0.0
-    fwd = _successors(support)
-    bwd = _successors(support.T)
-    reach_f = _reachable(fwd, 0)
-    reach_b = _reachable(bwd, 0)
-    reach_f[0] = reach_b[0] = True  # length-0 path
-    return bool(reach_f.all() and reach_b.all())
-
-
-def period(matrix, state: int) -> int:
-    """Period of ``state``: gcd of the lengths of all cycles through it.
-
-    Computed as the gcd of BFS level differences d(u) + 1 - d(v) over all
-    support edges u -> v inside the state's communicating class.
+    Solves pi (P - I) = 0 directly, with one equation replaced by the
+    normalization, and checks the fixed-point residual max|pi P - pi|
+    of the result against ``EQUILIBRIUM_RESIDUAL_TOL``.
 
     Raises:
-        NoReturnPathError: no positive-probability cycle passes through
-            ``state``.
+        SingularSystemError: the solve degenerated or produced a vector
+            violating the fixed-point or probability constraints (typical
+            for reducible chains with no unique equilibrium).
     """
     rows = _as_rows(matrix)
-    support = rows > 0.0
-    fwd = _successors(support)
-    bwd = _successors(support.T)
-    reach_f = _reachable(fwd, state)
-    reach_b = _reachable(bwd, state)
-    if not (reach_f[state] and reach_b[state]):
-        raise NoReturnPathError(state)
-    comm = reach_f & reach_b
-
-    level = {state: 0}
-    queue = deque([state])
-    while queue:
-        u = queue.popleft()
-        for v in fwd[u]:
-            if comm[v] and v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
-
-    g = 0
-    for u in level:
-        for v in fwd[u]:
-            if comm[v]:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g)
-
-
-def matrix_power(matrix, k: int) -> np.ndarray:
-    """P**k by exponentiation by squaring (k >= 0)."""
-    rows = _as_rows(matrix)
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    return np.linalg.matrix_power(rows, k)
-
-
-def _direct_equilibrium(rows: np.ndarray) -> np.ndarray:
-    # pi (P - I) = 0 with one equation replaced by sum(pi) = 1.
     n = rows.shape[0]
     a = rows.T - np.eye(n)
     a[-1, :] = 1.0
@@ -252,54 +171,12 @@ def _direct_equilibrium(rows: np.ndarray) -> np.ndarray:
         pi = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"equilibrium solve failed: {exc}") from exc
-    return pi
-
-
-def _power_equilibrium(rows: np.ndarray, tol: float, max_iterations: int) -> np.ndarray:
-    pi = np.full(rows.shape[0], 1.0 / rows.shape[0])
-    for _ in range(max_iterations):
-        nxt = pi @ rows
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).max() <= tol:
-            if np.abs(nxt @ rows - nxt).max() <= tol:
-                return nxt
-        pi = nxt
-    raise NotConvergedError(max_iterations)
-
-
-def equilibrium(matrix, tol: float = 1e-12, method: str = "direct",
-                max_iterations: int = 1_000_000) -> Distribution:
-    """Stationary distribution pi with pi P = pi and sum(pi) = 1.
-
-    Args:
-        matrix: row-stochastic matrix (or raw rows).
-        tol: bound enforced on the fixed-point residual of the returned
-            vector, max|pi P - pi|.
-        method: "direct" solves the linear system with one equation replaced
-            by the normalization; "power" iterates pi <- pi P from uniform
-            and exists as an independent cross-check.
-        max_iterations: iteration cap for the power method.
-
-    Raises:
-        SingularSystemError: the direct solve degenerated or produced a
-            vector violating the fixed-point or probability constraints
-            (typical for reducible chains with no unique equilibrium).
-        NotConvergedError: power method hit the iteration cap (typical for
-            periodic chains).
-    """
-    rows = _as_rows(matrix)
-    if method == "direct":
-        pi = _direct_equilibrium(rows)
-    elif method == "power":
-        pi = _power_equilibrium(rows, tol, max_iterations)
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     if not np.isfinite(pi).all() or pi.min() < -1e-9:
         raise SingularSystemError("equilibrium solution is not a probability vector")
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
-    if np.abs(pi @ rows - pi).max() > tol:
+    if np.abs(pi @ rows - pi).max() > EQUILIBRIUM_RESIDUAL_TOL:
         raise SingularSystemError("equilibrium residual exceeds tolerance")
     return Distribution(_readonly(pi))
 
@@ -341,29 +218,3 @@ def hitting_stats(matrix, target: int) -> HittingStats:
         raise SingularMatrixError(
             f"hitting variance came out negative ({var.min()!r}); ill-conditioned chain")
     return HittingStats(fund.target, fund.index_map, _readonly(t), _readonly(var))
-
-
-def mean_return_time(matrix, state: int) -> float:
-    """Expected steps to return to ``state``, 1 / pi_state (Kac's formula)."""
-    pi = equilibrium(matrix)
-    p = pi[state]
-    if p <= 0.0:
-        return math.inf
-    return 1.0 / p
-
-
-def matrix_to_json(matrix) -> str:
-    """Serialize as '{"n": ..., "rows": [[...], ...]}' with full precision."""
-    rows = _as_rows(matrix)
-    doc = {"n": int(rows.shape[0]), "rows": [[float(x) for x in row] for row in rows]}
-    return json.dumps(doc)
-
-
-def matrix_from_json(text: str) -> StochasticMatrix:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or set(doc) != {"n", "rows"}:
-        raise ValueError('matrix document must have exactly the keys "n" and "rows"')
-    rows = doc["rows"]
-    if len(rows) != doc["n"]:
-        raise NonSquareError((doc["n"], len(rows)))
-    return validate(rows)

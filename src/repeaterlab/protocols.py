@@ -13,6 +13,8 @@ protocol phases with a designated failure (restart) state and success state:
 * dhs: same two-link layout, but each link needs two heralding rounds; states
   label per-link round progress (0, 1, or 2 = pair ready).
 
+One builder, build_two_link, makes both two-link chains from the round count.
+
 The success-state row always equals the failure-state row: after delivering
 a pair the protocol restarts exactly as after a failure. Closed-form results
 are expressed in step units; tau (seconds per step) lives on ProtocolChain
@@ -141,87 +143,58 @@ class ProtocolChain:
         return self.matrix.n
 
 
+def _round_rows(probs) -> np.ndarray:
+    """Rows of an n-round link counter: row i < n passes round i+1 with p_i or drops to 0.
+
+    Row n, the link holding a pair, is left empty for the caller to fill.
+    """
+    n = len(probs)
+    rows = np.zeros((n + 1, n + 1))
+    for i, p in enumerate(probs):
+        rows[i, 0] = 1.0 - p
+        rows[i, i + 1] = p
+    return rows
+
+
 def build_multiheralded(params: MultiHeraldParams, tau: float = 1.0) -> ProtocolChain:
     """Chain for an n-round heralded link: states 0..n, success at n.
 
     Row i < n moves to i+1 with probability p_{i+1} and back to 0 otherwise;
     the success row repeats row 0 (the protocol restarts).
     """
-    probs = params.round_probs
     n = params.n
-    rows = np.zeros((n + 1, n + 1))
-    for i in range(n):
-        rows[i, 0] = 1.0 - probs[i]
-        rows[i, i + 1] = probs[i]
+    rows = _round_rows(params.round_probs)
     rows[n] = rows[0]
     labels = tuple(str(i) for i in range(n + 1))
     return ProtocolChain(markov.validate(rows), labels, 0, n, float(tau))
 
 
-_SHS_LABELS = ("00", "01", "10", "11", "S")
+def build_two_link(params: TwoLinkParams, tau: float = 1.0) -> ProtocolChain:
+    """Two r-round heralded links plus one swap: states ij for i, j in 0..r, then S.
 
-
-def build_two_link_single_heralded(params: TwoLinkParams, tau: float = 1.0) -> ProtocolChain:
-    """Two single-heralded links plus one swap: states 00, 01, 10, 11, S.
-
-    Label "ab" means the left link holds a pair iff a=1 and the right link
-    iff b=1; empty links re-attempt every step, ready links wait. From 11
+    Label "ij" gives the rounds passed on the left (i) and right (j) link;
+    r means the link holds a pair. State ij has index i*(r+1)+j and S comes
+    last. A link that has passed i < r rounds passes the next one with that
+    round's probability or drops back to 0 rounds; ready links wait. From rr
     the swap succeeds with swap_prob (to S) or destroys both pairs (to 00).
+    The shs scheme is r = 1 (states 00, 01, 10, 11, S), the dhs scheme r = 2.
     """
-    if len(params.left_probs) != 1:
-        raise HeraldCountError("single-heralded scheme takes one round per link")
-    pl, = params.left_probs
-    pr, = params.right_probs
-    ps = params.swap_prob
-    ql, qr = 1.0 - pl, 1.0 - pr
-    row00 = [ql * qr, ql * pr, pl * qr, pl * pr, 0.0]
-    rows = [
-        row00,
-        [0.0, ql, 0.0, pl, 0.0],
-        [0.0, 0.0, qr, pr, 0.0],
-        [1.0 - ps, 0.0, 0.0, 0.0, ps],
-        list(row00),
-    ]
-    return ProtocolChain(markov.validate(rows), _SHS_LABELS, 0, 4, float(tau))
-
-
-_DHS_LABELS = ("00", "01", "02", "10", "11", "12", "20", "21", "22", "S")
-
-
-def build_two_link_double_heralded(params: TwoLinkParams, tau: float = 1.0) -> ProtocolChain:
-    """Two double-heralded links plus one swap: states ij for i,j in {0,1,2}.
-
-    Label "ij" gives rounds passed on the left (i) and right (j) link; 2
-    means the link holds a pair. A link needing round r succeeds with its
-    round-r probability or drops back to 0 rounds; ready links wait. From
-    22 the swap succeeds with swap_prob or resets everything.
-    """
-    if len(params.left_probs) != 2:
-        raise HeraldCountError("double-heralded scheme takes two rounds per link")
-    pl1, pl2 = params.left_probs
-    pr1, pr2 = params.right_probs
-    ps = params.swap_prob
-    ql1, ql2, qr1, qr2 = 1.0 - pl1, 1.0 - pl2, 1.0 - pr1, 1.0 - pr2
-
-    idx = {lab: i for i, lab in enumerate(_DHS_LABELS)}
-    rows = np.zeros((10, 10))
-    left = {0: (pl1, ql1), 1: (pl2, ql2)}
-    right = {0: (pr1, qr1), 1: (pr2, qr2)}
-    for i in range(3):
-        for j in range(3):
-            r = idx[f"{i}{j}"]
-            if i == 2 and j == 2:
-                rows[r, idx["00"]] = 1.0 - ps
-                rows[r, idx["S"]] = ps
-                continue
-            # each unfinished link advances a round or restarts at 0
-            li = [(i, 1.0)] if i == 2 else [(i + 1, left[i][0]), (0, left[i][1])]
-            rj = [(j, 1.0)] if j == 2 else [(j + 1, right[j][0]), (0, right[j][1])]
-            for ti, wi in li:
-                for tj, wj in rj:
-                    rows[r, idx[f"{ti}{tj}"]] += wi * wj
-    rows[idx["S"]] = rows[idx["00"]]
-    return ProtocolChain(markov.validate(rows), _DHS_LABELS, 0, idx["S"], float(tau))
+    r = len(params.left_probs)
+    width = r + 1
+    ready = width * width - 1  # index of rr; S is ready + 1
+    left = _round_rows(params.left_probs)
+    right = _round_rows(params.right_probs)
+    left[r, r] = right[r, r] = 1.0
+    rows = np.zeros((ready + 2, ready + 2))
+    # the links move independently: ij -> kl with probability left[i, k] * right[j, l]
+    joint = np.multiply.outer(left, right).transpose(0, 2, 1, 3)
+    rows[:-1, :-1] = joint.reshape(ready + 1, ready + 1)
+    rows[ready] = 0.0  # once both links hold a pair, the swap decides alone
+    rows[ready, 0] = 1.0 - params.swap_prob
+    rows[ready, -1] = params.swap_prob
+    rows[-1] = rows[0]
+    labels = tuple(f"{i}{j}" for i in range(width) for j in range(width)) + ("S",)
+    return ProtocolChain(markov.validate(rows), labels, 0, ready + 1, float(tau))
 
 
 def cf_equilibrium_multiheralded(params: MultiHeraldParams) -> float:
@@ -318,9 +291,7 @@ def build_chain(params, tau: float = 1.0) -> ProtocolChain:
     if isinstance(params, MultiHeraldParams):
         return build_multiheralded(params, tau)
     if isinstance(params, TwoLinkParams):
-        if len(params.left_probs) == 1:
-            return build_two_link_single_heralded(params, tau)
-        return build_two_link_double_heralded(params, tau)
+        return build_two_link(params, tau)
     raise TypeError(f"unsupported params type {type(params).__name__}")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ArgumentRangeError
+from .estimators import ArgumentRangeError, check_nested
 from .protocols import ProtocolChain
 
 _RNG_ALGORITHMS = ("philox", "pcg64")
@@ -208,10 +208,7 @@ def simulate_nested(k: int, p: float, config: SimConfig) -> SimulationResult:
     T < steps; the next round starts at T + 1. Each trajectory reads one
     row of 2^k uniforms per step, as a slot-by-slot engine would.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ArgumentRangeError("k", k, ">= 1 integer")
-    if not 0.0 < p <= 1.0:
-        raise ArgumentRangeError("p", p, "(0, 1]")
+    check_nested(k, p)
     leaves = 1 << k
     steps = config.steps_per_trajectory
     never = np.iinfo(np.int64).max

@@ -112,20 +112,6 @@ def visit_count_moments_by_path_enumeration(rows, start: int, success: int, N: i
     return m1, m2 - m1 * m1
 
 
-def period_bruteforce(rows, state: int, max_len: int = 64) -> int:
-    """gcd of all return-path lengths up to max_len, via boolean reachability."""
-    support = np.asarray(rows, dtype=float) > 0.0
-    frontier = support[state].copy()
-    g = 0
-    for t in range(1, max_len + 1):
-        if frontier[state]:
-            g = math.gcd(g, t)
-        frontier = (frontier @ support) > 0
-    if g == 0:
-        raise ValueError(f"no return path to state {state} within {max_len} steps")
-    return g
-
-
 def equilibrium_bruteforce(rows, iterations: int = 200_000) -> np.ndarray:
     """Stationary distribution by repeated multiplication from uniform.
 

@@ -25,7 +25,8 @@ class TestAnalyze:
         assert report["protocol"] == "multiherald"
         assert report["equilibrium"]["success_probability"] == pytest.approx(1 / 6, abs=1e-12)
         assert report["equilibrium"]["by_state"]["2"] == pytest.approx(1 / 6, abs=1e-12)
-        assert report["matrix"]["n"] == 3
+        chain = protocols.build_chain(protocols.MultiHeraldParams((0.5, 0.5)))
+        assert report["matrix"] == {"n": 3, "rows": chain.matrix.rows.tolist()}
         assert report["closed_form_deltas"]["equilibrium"] < 1e-12
         assert report["throughput"]["exact_variance"] is None
 
@@ -159,6 +160,8 @@ class TestSimulate:
             ("simulate", "--nested", "--k", "1"),
             ("simulate", "--k", "1", "--p", "0.5"),
             ("simulate", "--nested", "--k", "0", "--p", "0.5"),
+            # 2^40 links would need terabytes of draws per step
+            ("simulate", "--nested", "--k", "40", "--p", "0.5"),
         ]
         for argv in cases:
             code, _, err = run_cli(capsys, *argv)
@@ -296,7 +299,11 @@ class TestSweep:
          "varied_params": [{"name": "p", "start": 0.5, "stop": 1.5, "count": 3}],
          "fixed_params": {"ps": 1.0, "steps": 20000, "trajectories": 100},
          "outputs": ["equilibrium", "simulated_mean"]},
-    ], ids=["nested-k-2.5", "shs-p-1.5"])
+        {"protocol": "nested",
+         "varied_params": [{"name": "k", "start": 1, "stop": 1100, "count": 2}],
+         "fixed_params": {"p": 0.5},
+         "outputs": ["nested_type1"]},
+    ], ids=["nested-k-2.5", "shs-p-1.5", "nested-k-1100"])
     def test_bad_late_point_rejected_before_simulating(self, capsys, tmp_path,
                                                        monkeypatch, payload):
         def no_simulation(*args, **kwargs):
@@ -308,6 +315,19 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
         assert code == 2 and not dest.exists()
         assert json.loads(err)["error"]["category"] == "validation"
+
+    def test_underflowing_nested_rate_exits_3(self, capsys, tmp_path):
+        # p^2 underflows to 0, so the level-one closed form divides 0 by 0
+        spec = self.write_spec(tmp_path, {
+            "protocol": "nested",
+            "varied_params": [{"name": "k", "start": 1, "stop": 2, "count": 2}],
+            "fixed_params": {"p": 1e-200},
+            "outputs": ["nested_type1"],
+        })
+        dest = tmp_path / "never.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 3 and not dest.exists()
+        assert json.loads(err)["error"]["category"] == "numerical"
 
     def test_zero_varied_params_gives_single_row(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, {
@@ -387,3 +407,15 @@ class TestFigureSpecs:
         spec_dir = Path(__file__).resolve().parents[1] / "figures"
         spec = json.loads((spec_dir / "nested_throughput_vs_estimates.json").read_text())
         assert "seed" in spec["fixed_params"]
+
+
+class TestScripts:
+    def test_validate_against_sim_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "validate_against_sim.py"),
+             "--steps", "2000", "--trajectories", "20"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "two-link double-heralded" in proc.stdout

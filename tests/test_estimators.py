@@ -156,6 +156,9 @@ class TestNested:
             estimators.nested_throughput(0.5, 0, "type1")
         with pytest.raises(estimators.ArgumentRangeError):
             estimators.nested_throughput(0.5, 1, "type3")
+        with pytest.raises(estimators.ArgumentRangeError):
+            estimators.nested_throughput(0.5, estimators.MAX_NESTED_K + 1, "type1")
+        assert estimators.nested_throughput(0.5, estimators.MAX_NESTED_K, "type2").level_k == 12
 
 
 class TestVisitSequences:

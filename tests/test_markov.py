@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repeaterlab import markov
-from oracles import equilibrium_bruteforce, hitting_moments_bruteforce, period_bruteforce
+from oracles import equilibrium_bruteforce, hitting_moments_bruteforce
 
 TWO_CYCLE = [[0.0, 1.0], [1.0, 0.0]]
 LAZY_TWO = [[0.5, 0.5], [0.4, 0.6]]
@@ -59,58 +57,11 @@ class TestValidate:
     def test_single_state(self):
         m = markov.validate([[1.0]])
         assert markov.equilibrium(m)[0] == 1.0
-        assert markov.is_irreducible(m)
-        assert markov.period(m, 0) == 1
 
     @given(stochastic_rows())
     def test_random_matrices_validate(self, rows):
         m = markov.validate(rows)
         assert m.n == len(rows)
-
-
-class TestStructure:
-    def test_irreducible_positive(self):
-        assert markov.is_irreducible(markov.validate(LAZY_TWO))
-
-    def test_reducible_block_diagonal(self):
-        rows = [[1.0, 0.0], [0.0, 1.0]]
-        assert not markov.is_irreducible(markov.validate(rows))
-
-    def test_reducible_one_way(self):
-        # state 1 reaches 0 but not back
-        rows = [[1.0, 0.0], [0.5, 0.5]]
-        assert not markov.is_irreducible(markov.validate(rows))
-
-    def test_period_two_cycle(self):
-        m = markov.validate(TWO_CYCLE)
-        assert markov.period(m, 0) == 2
-        assert markov.period(m, 1) == 2
-
-    def test_period_aperiodic(self):
-        assert markov.period(markov.validate(LAZY_TWO), 0) == 1
-
-    def test_period_of_deterministic_bkp_cycle(self):
-        # all-ones double-heralded walk: 0 -> 1 -> 2 -> 1 -> 2 ...
-        rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-        m = markov.validate(rows)
-        assert markov.period(m, 2) == 2
-        assert markov.period(m, 2) == period_bruteforce(rows, 2)
-
-    def test_period_no_return(self):
-        rows = [[1.0, 0.0], [1.0, 0.0]]  # state 1 is transient, never revisited
-        with pytest.raises(markov.NoReturnPathError):
-            markov.period(markov.validate(rows), 1)
-
-    @given(stochastic_rows(min_n=2))
-    def test_positive_matrices_are_aperiodic(self, rows):
-        m = markov.validate(rows)
-        assert markov.is_irreducible(m)
-        assert markov.period(m, 0) == 1
-
-    @given(stochastic_rows(min_n=2, max_n=5))
-    def test_period_matches_bruteforce(self, rows):
-        m = markov.validate(rows)
-        assert markov.period(m, 0) == period_bruteforce(rows, 0)
 
 
 class TestEquilibrium:
@@ -124,18 +75,6 @@ class TestEquilibrium:
     def test_periodic_chain_has_equilibrium(self):
         pi = markov.equilibrium(markov.validate(TWO_CYCLE))
         assert pi[0] == pytest.approx(0.5, abs=1e-14)
-
-    def test_power_method_agrees_on_periodic_chain(self):
-        # the power solver averages over the period internally or converges
-        # via the residual criterion; either way the fixed point must match
-        m = markov.validate(BKP_HALF)
-        direct = markov.equilibrium(m, method="direct")
-        power = markov.equilibrium(m, method="power")
-        np.testing.assert_allclose(np.asarray(power), np.asarray(direct), atol=1e-9)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            markov.equilibrium(markov.validate(LAZY_TWO), method="magic")
 
     def test_reducible_two_blocks_direct_fails(self):
         rows = [[1.0, 0.0], [0.0, 1.0]]
@@ -154,9 +93,9 @@ class TestEquilibrium:
     @given(stochastic_rows())
     @settings(max_examples=30, deadline=None)
     def test_direct_vs_power(self, rows):
-        m = markov.validate(rows)
-        direct = np.asarray(markov.equilibrium(m, method="direct"))
-        power = np.asarray(markov.equilibrium(m, method="power"))
+        # the direct solve against power iteration of the lazy chain
+        direct = np.asarray(markov.equilibrium(markov.validate(rows)))
+        power = equilibrium_bruteforce(rows)
         assert np.abs(direct - power).max() < 1e-9
 
     def test_matches_bruteforce_iteration(self):
@@ -208,48 +147,12 @@ class TestHitting:
     @given(stochastic_rows(min_n=2, max_n=5))
     @settings(max_examples=25, deadline=None)
     def test_kac_return_time(self, rows):
-        # mean return time to a state is 1/pi via two independent routes:
-        # the equilibrium solve and the fundamental-matrix hitting means
+        # Kac: the mean return time to a state is 1/pi, so the equilibrium
+        # solve and the fundamental-matrix hitting means must agree
         m = markov.validate(rows)
         pi = markov.equilibrium(m)
-        assert markov.mean_return_time(m, 0) == pytest.approx(1.0 / pi[0], rel=1e-10)
         hs = markov.hitting_stats(m, target=0)
         P = np.asarray(rows)
         ret = 1.0 + sum(P[0, j] * hs.means[hs.index_map.index(j)]
                         for j in range(1, m.n))
         assert ret == pytest.approx(1.0 / pi[0], rel=1e-9)
-
-
-class TestPowersAndJson:
-    def test_matrix_power_identity(self):
-        m = markov.validate(BKP_HALF)
-        np.testing.assert_allclose(markov.matrix_power(m, 0), np.eye(3), atol=0)
-        np.testing.assert_allclose(markov.matrix_power(m, 1), BKP_HALF, atol=0)
-
-    def test_matrix_power_rejects_negative(self):
-        with pytest.raises(ValueError):
-            markov.matrix_power(markov.validate(BKP_HALF), -1)
-
-    def test_json_round_trip(self):
-        m = markov.validate(BKP_HALF)
-        again = markov.matrix_from_json(markov.matrix_to_json(m))
-        np.testing.assert_array_equal(again.rows, m.rows)
-
-    def test_json_schema(self):
-        payload = json.loads(markov.matrix_to_json(markov.validate(TWO_CYCLE)))
-        assert set(payload) == {"n", "rows"}
-        assert payload["n"] == 2
-
-    def test_json_rejects_inconsistent_n(self):
-        with pytest.raises(markov.NonSquareError):
-            markov.matrix_from_json(json.dumps({"n": 3, "rows": TWO_CYCLE}))
-
-    def test_json_rejects_bad_keys(self):
-        with pytest.raises(ValueError):
-            markov.matrix_from_json(json.dumps({"rows": TWO_CYCLE}))
-
-    @given(stochastic_rows())
-    def test_json_round_trip_random(self, rows):
-        m = markov.validate(rows)
-        again = markov.matrix_from_json(markov.matrix_to_json(m))
-        np.testing.assert_array_equal(again.rows, m.rows)

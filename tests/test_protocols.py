@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -12,8 +13,7 @@ from repeaterlab.protocols import (
     TwoLinkParams,
     build_chain,
     build_multiheralded,
-    build_two_link_double_heralded,
-    build_two_link_single_heralded,
+    build_two_link,
     cf_equilibrium_multiheralded,
     cf_equilibrium_shs,
     cf_latency_variance_multiheralded,
@@ -86,7 +86,7 @@ class TestMultiHeraldMatrix:
 class TestTwoLinkMatrices:
     def test_shs_rows(self):
         pl, pr, ps = 0.6, 0.7, 0.8
-        chain = build_two_link_single_heralded(TwoLinkParams((pl,), (pr,), ps))
+        chain = build_two_link(TwoLinkParams((pl,), (pr,), ps))
         ql, qr = 1.0 - pl, 1.0 - pr
         expect = [
             [ql * qr, ql * pr, pl * qr, pl * pr, 0.0],
@@ -99,7 +99,7 @@ class TestTwoLinkMatrices:
         assert chain.labels == ("00", "01", "10", "11", "S")
 
     def test_dhs_labels_and_shape(self):
-        chain = build_two_link_double_heralded(
+        chain = build_two_link(
             TwoLinkParams((0.5, 0.5), (0.5, 0.5), 1.0))
         assert chain.labels == ("00", "01", "02", "10", "11", "12", "20", "21", "22", "S")
         assert chain.n == 10
@@ -108,7 +108,7 @@ class TestTwoLinkMatrices:
     def test_dhs_row_mixed_stages(self):
         # left waiting on round 1, right waiting on round 2
         pl1, pl2, pr1, pr2, ps = 0.3, 0.6, 0.5, 0.8, 0.9
-        chain = build_two_link_double_heralded(
+        chain = build_two_link(
             TwoLinkParams((pl1, pl2), (pr1, pr2), ps))
         rows = chain.matrix.rows
         labels = list(chain.labels)
@@ -120,7 +120,7 @@ class TestTwoLinkMatrices:
 
     def test_dhs_ready_link_holds(self):
         pl1, pl2, pr1, pr2, ps = 0.3, 0.6, 0.5, 0.8, 0.9
-        chain = build_two_link_double_heralded(
+        chain = build_two_link(
             TwoLinkParams((pl1, pl2), (pr1, pr2), ps))
         rows = chain.matrix.rows
         labels = list(chain.labels)
@@ -134,14 +134,54 @@ class TestTwoLinkMatrices:
 
     @given(probs, probs, probs)
     def test_shs_success_row_restarts(self, pl, pr, ps):
-        chain = build_two_link_single_heralded(TwoLinkParams((pl,), (pr,), ps))
+        chain = build_two_link(TwoLinkParams((pl,), (pr,), ps))
         np.testing.assert_array_equal(chain.matrix.rows[4], chain.matrix.rows[0])
 
-    def test_builders_reject_wrong_arity(self):
-        with pytest.raises(protocols.HeraldCountError):
-            build_two_link_single_heralded(TwoLinkParams((0.5, 0.5), (0.5, 0.5), 1.0))
-        with pytest.raises(protocols.HeraldCountError):
-            build_two_link_double_heralded(TwoLinkParams((0.5,), (0.5,), 1.0))
+
+# sha256 of labels, start/success states and rows.tobytes() of every chain
+# build_chain makes over golden_points(family)
+GOLDEN_MATRIX_DIGESTS = {
+    "mh1": "4282141853c4633e97df778879a147590861f0f8665045073b795e56f2b6d633",
+    "mh2": "4256c2f938bb1c832b3a0675452f2808d32067fbe491d23cbc114b76a266bbd7",
+    "mh3": "f4f65b89828f9ed627b7a52a1e1dd58255632d3c8ab0ffcc9eb6cbcfa4ef9920",
+    "mh4": "b94d9d58219c81976870f8a64367b3091f0ba23a6f09cbe2776a1ce5c42a305f",
+    "shs": "648dc5d647c82dcb02a5c3363b3d30cbab4bf04c274d31fb27855fb450282f0a",
+    "dhs": "31e96c390bf22359ab9d3c50bd5a640c856e1998ccd5d6987bd004c42d925598",
+}
+EDGE_PROBS = (0.0, 1e-300, 1.0 - 2.0**-53, 1.0)
+
+
+def golden_points(family):
+    """Every edge-value combination plus 64 seeded uniform draws."""
+    width = {"shs": 3, "dhs": 5}.get(family) or int(family[2:])
+    rng = np.random.default_rng(20261018 + width)
+    combos = list(itertools.product(EDGE_PROBS, repeat=width))
+    combos += [tuple(float(x) for x in row) for row in rng.random((64, width))]
+    for c in combos:
+        if family == "shs":
+            yield TwoLinkParams(c[:1], c[1:2], c[2])
+        elif family == "dhs":
+            yield TwoLinkParams(c[:2], c[2:4], c[4])
+        else:
+            yield MultiHeraldParams(c)
+
+
+class TestGoldenMatrices:
+    """Every transition matrix, to the last bit.
+
+    Any change to a builder's arithmetic that moves one entry by one ulp
+    fails here; the points include 0, 1 and the values next to them.
+    """
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN_MATRIX_DIGESTS))
+    def test_matrices_byte_identical(self, family):
+        h = hashlib.sha256()
+        for params in golden_points(family):
+            chain = build_chain(params)
+            h.update(",".join(chain.labels).encode())
+            h.update(np.array([chain.start_state, chain.success_state], dtype=np.int64).tobytes())
+            h.update(chain.matrix.rows.tobytes())
+        assert h.hexdigest() == GOLDEN_MATRIX_DIGESTS[family]
 
 
 class TestClosedFormEquilibrium:
@@ -157,7 +197,7 @@ class TestClosedFormEquilibrium:
     def test_shs_vs_solver(self):
         for pl, pr, ps in itertools.product([0.2, 0.5, 0.9], repeat=3):
             params = TwoLinkParams((pl,), (pr,), ps)
-            chain = build_two_link_single_heralded(params)
+            chain = build_two_link(params)
             pi = markov.equilibrium(chain.matrix)
             assert cf_equilibrium_shs(params) == pytest.approx(
                 pi[chain.success_state], abs=1e-12)

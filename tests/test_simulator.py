@@ -194,6 +194,8 @@ class TestNestedEngine:
             simulate_nested(1, 0.0, cfg)
         with pytest.raises(ArgumentRangeError):
             simulate_nested(1, 1.1, cfg)
+        with pytest.raises(ArgumentRangeError):
+            simulate_nested(13, 0.5, cfg)  # above the cap of 2^12 links
 
     @pytest.mark.parametrize("k,cycle", [(1, 2), (2, 4), (3, 8)])
     def test_perfect_links_period(self, k, cycle):
