@@ -15,11 +15,8 @@ from .estimators import (
     nested_throughput,
 )
 from .markov import (
-    Distribution,
-    HittingStats,
     StochasticMatrix,
     equilibrium,
-    fundamental_matrix,
     hitting_stats,
     validate,
 )
@@ -42,8 +39,6 @@ from .simulator import SimConfig, SimulationResult, simulate_chain, simulate_nes
 __version__ = "0.1.0"
 
 __all__ = [
-    "Distribution",
-    "HittingStats",
     "LatencyEstimate",
     "MultiHeraldParams",
     "NestedEstimate",
@@ -66,7 +61,6 @@ __all__ = [
     "estimate_latency",
     "estimate_throughput",
     "exact_throughput_variance",
-    "fundamental_matrix",
     "hitting_stats",
     "nested_throughput",
     "simulate_chain",

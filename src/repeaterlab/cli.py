@@ -163,7 +163,7 @@ def _params_from_args(args):
 
 # ----------------------------------------------------------------- analyze
 
-def _closed_form_deltas(params, chain, pi, latency):
+def _closed_form_deltas(params, chain, success, latency):
     name = protocols.protocol_name(params)
     if name == "multiherald":
         cf_eq = protocols.cf_equilibrium_multiheralded(params)
@@ -174,7 +174,7 @@ def _closed_form_deltas(params, chain, pi, latency):
     else:
         return None
     return {
-        "equilibrium": abs(cf_eq - pi[chain.success_state]),
+        "equilibrium": abs(cf_eq - success),
         "latency_mean": abs(chain.tau / cf_eq - latency.mean),
         "latency_variance": abs(cf_var * chain.tau**2 - latency.variance),
     }
@@ -184,10 +184,11 @@ def cmd_analyze(args) -> int:
     params, tau = _params_from_args(args)
     chain = protocols.build_chain(params, tau)
     pi = markov.equilibrium(chain.matrix)
+    success = float(pi[chain.success_state])
     throughput = estimators.estimate_throughput(chain, args.horizon, exact=args.exact)
     latency = estimators.estimate_latency(chain)
     try:
-        deltas = _closed_form_deltas(params, chain, pi, latency)
+        deltas = _closed_form_deltas(params, chain, success, latency)
     except protocols.ProtocolError:
         deltas = None  # closed form undefined at this parameter point
     report = {
@@ -196,8 +197,8 @@ def cmd_analyze(args) -> int:
         "labels": list(chain.labels),
         "matrix": {"n": chain.n, "rows": chain.matrix.rows.tolist()},
         "equilibrium": {
-            "by_state": {label: pi[i] for i, label in enumerate(chain.labels)},
-            "success_probability": pi[chain.success_state],
+            "by_state": dict(zip(chain.labels, pi.tolist())),
+            "success_probability": success,
         },
         "throughput": {
             "mean_rate": throughput.mean_rate,
@@ -319,6 +320,8 @@ class _SweepPlan:
 
         self.tau = float(fixed.get("tau", 1.0))
         self.horizon = _require_int("fixed_params.horizon", fixed.get("horizon", 100_000), 1)
+        if "naive_var" in self.outputs or "exact_var" in self.outputs:
+            estimators.check_horizon(self.horizon)
         if "simulated_mean" in self.outputs:
             self.sim_config = simulator.SimConfig(
                 seed=_require_int("fixed_params.seed", fixed.get("seed", 0), 0),
@@ -461,7 +464,7 @@ def cmd_simulate(args) -> int:
             "seed": result.config_echo.seed,
             "steps_per_trajectory": result.config_echo.steps_per_trajectory,
             "trajectories": result.config_echo.trajectories,
-            "rng_algorithm": result.config_echo.rng_algorithm,
+            "rng_algorithm": simulator.RNG_ALGORITHM,
         },
         "mean_throughput": result.mean_throughput,
         "throughput_variance": result.throughput_variance,
@@ -478,13 +481,21 @@ def cmd_compare(args) -> int:
         raise CliValidationError(
             f"compare needs --trajectories >= 2 for a standard error, got {args.trajectories}")
     label, chain, run = _sim_target(args)
+    # the analytical side first: a numerical failure there costs no simulation
+    if label["kind"] == "nested":
+        analytical = [(f"nested_{method}_rate",
+                       estimators.nested_throughput(args.p, args.k, method).rate)
+                      for method in ("type1", "type2")]
+    else:
+        analytical = [("mean_throughput_per_step",
+                       markov.equilibrium(chain.matrix)[chain.success_state])]
     config = _sim_config_from_args(args)
     result = run(config)
     simulated = result.mean_throughput
     err = result.std_error()
 
-    def sigma(analytical: float) -> float:
-        gap = abs(analytical - simulated)
+    def sigma(rate: float) -> float:
+        gap = abs(rate - simulated)
         if err == 0.0:
             if gap == 0.0:
                 return 0.0
@@ -492,18 +503,9 @@ def cmd_compare(args) -> int:
                 "zero standard error with nonzero analytical-simulated gap")
         return gap / err
 
-    rows = []
-    if label["kind"] == "nested":
-        for method in ("type1", "type2"):
-            rate = estimators.nested_throughput(args.p, args.k, method).rate
-            rows.append((f"nested_{method}_rate", rate, simulated, err, sigma(rate)))
-    else:
-        pi = markov.equilibrium(chain.matrix)
-        rate = pi[chain.success_state]
-        rows.append(("mean_throughput_per_step", rate, simulated, err, sigma(rate)))
     lines = ["quantity,analytical,simulated,std_error,sigma_distance"]
-    for quantity, *cells in rows:
-        lines.append(",".join([quantity] + [_fmt(v) for v in cells]))
+    for quantity, rate in analytical:
+        lines.append(",".join([quantity] + [_fmt(v) for v in (rate, simulated, err, sigma(rate))]))
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 

@@ -155,12 +155,8 @@ def estimate_throughput(chain: ProtocolChain, N: int, exact: bool = False) -> Th
         ThroughputEstimate with mean_rate = pi_success / tau and
         naive_variance = pi (1 - pi) / (N tau^2).
     """
-    if N < 1:
-        raise ArgumentRangeError("N", N, ">= 1")
-    if N > HORIZON_CAP:
-        raise HorizonError(N, HORIZON_CAP)
-    pi = markov.equilibrium(chain.matrix)
-    p_succ = pi[chain.success_state]
+    check_horizon(N)
+    p_succ = float(markov.equilibrium(chain.matrix)[chain.success_state])
     naive = p_succ * (1.0 - p_succ) / (N * chain.tau**2)
     ex = exact_throughput_variance(chain, N) if exact else None
     return ThroughputEstimate(p_succ / chain.tau, naive, ex, N, chain.tau)
@@ -168,9 +164,17 @@ def estimate_throughput(chain: ProtocolChain, N: int, exact: bool = False) -> Th
 
 def estimate_latency(chain: ProtocolChain) -> LatencyEstimate:
     """Mean and variance of the time to first success from the start state."""
-    stats = markov.hitting_stats(chain.matrix, chain.success_state)
-    mean_steps, var_steps = stats.for_state(chain.start_state)
-    return LatencyEstimate(mean_steps * chain.tau, var_steps * chain.tau**2)
+    means, variances = markov.hitting_stats(chain.matrix, chain.success_state)
+    start = chain.start_state
+    return LatencyEstimate(float(means[start]) * chain.tau, float(variances[start]) * chain.tau**2)
+
+
+def check_horizon(N: int) -> None:
+    """Reject a variance horizon N outside 1..HORIZON_CAP."""
+    if N < 1:
+        raise ArgumentRangeError("N", N, ">= 1")
+    if N > HORIZON_CAP:
+        raise HorizonError(N, HORIZON_CAP)
 
 
 def check_nested(k: int, p: float) -> None:
@@ -189,12 +193,21 @@ def nested_throughput(p: float, k: int, method: str) -> NestedEstimate:
     "type1" rescales rates by the level's swap communication time 2^(k-1)
     on the way in and out; "type2" feeds the rate in unscaled. Arguments
     ever landing outside [0, 1] are clamped and flagged on the result.
+
+    Raises:
+        FloatingPointError: a level's rate underflowed to 0 (p far too small
+            for the double range).
     """
     check_nested(k, p)
     if method not in ("type1", "type2"):
         raise ArgumentRangeError("method", method, "'type1' or 'type2'")
 
-    rates = [cf_equilibrium_shs(TwoLinkParams((p,), (p,), 1.0))]
+    def checked(level: int, rate: float) -> float:
+        if rate == 0.0:
+            raise FloatingPointError(f"nested rate at level {level} underflowed to 0 (p = {p!r})")
+        return rate
+
+    rates = [checked(1, cf_equilibrium_shs(TwoLinkParams((p,), (p,), 1.0)))]
     clamp_events = []
     for level in range(2, k + 1):
         scale = float(2 ** (level - 1))
@@ -203,5 +216,5 @@ def nested_throughput(p: float, k: int, method: str) -> NestedEstimate:
         if arg != raw:
             clamp_events.append((level, raw))
         step = cf_equilibrium_shs(TwoLinkParams((arg,), (arg,), 1.0))
-        rates.append(step / scale if method == "type1" else step)
+        rates.append(checked(level, step / scale if method == "type1" else step))
     return NestedEstimate(k, tuple(rates), method, tuple(clamp_events))

@@ -67,52 +67,6 @@ class StochasticMatrix:
         return self.rows[idx]
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Probability row vector over chain states."""
-
-    probs: np.ndarray
-
-    def __getitem__(self, idx) -> float:
-        return float(self.probs[idx])
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.probs, dtype=dtype)
-
-
-@dataclass(frozen=True)
-class FundamentalMatrix:
-    """Inverse of (I - Q) where Q drops the target row and column.
-
-    ``index_map[r]`` gives the original state index of reduced row/column r.
-    """
-
-    matrix: np.ndarray
-    target: int
-    index_map: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HittingStats:
-    """Mean and variance of the first-hitting time of ``target``, in steps.
-
-    Entry r refers to start state ``index_map[r]``; the target itself is not
-    included (its hitting time is trivially zero).
-    """
-
-    target: int
-    index_map: tuple[int, ...]
-    means: np.ndarray
-    variances: np.ndarray
-
-    def for_state(self, state: int) -> tuple[float, float]:
-        r = self.index_map.index(state)
-        return float(self.means[r]), float(self.variances[r])
-
-
 def validate(rows) -> StochasticMatrix:
     """Check and wrap a raw matrix as a row-stochastic transition matrix.
 
@@ -143,14 +97,8 @@ def validate(rows) -> StochasticMatrix:
     return StochasticMatrix(_readonly(a.copy()))
 
 
-def _as_rows(matrix) -> np.ndarray:
-    if isinstance(matrix, StochasticMatrix):
-        return matrix.rows
-    return validate(matrix).rows
-
-
-def equilibrium(matrix) -> Distribution:
-    """Stationary distribution pi with pi P = pi and sum(pi) = 1.
+def equilibrium(matrix: StochasticMatrix) -> np.ndarray:
+    """Stationary distribution pi with pi P = pi and sum(pi) = 1, read-only.
 
     Solves pi (P - I) = 0 directly, with one equation replaced by the
     normalization, and checks the fixed-point residual max|pi P - pi|
@@ -161,7 +109,7 @@ def equilibrium(matrix) -> Distribution:
             violating the fixed-point or probability constraints (typical
             for reducible chains with no unique equilibrium).
     """
-    rows = _as_rows(matrix)
+    rows = matrix.rows
     n = rows.shape[0]
     a = rows.T - np.eye(n)
     a[-1, :] = 1.0
@@ -178,43 +126,39 @@ def equilibrium(matrix) -> Distribution:
     pi = pi / pi.sum()
     if np.abs(pi @ rows - pi).max() > EQUILIBRIUM_RESIDUAL_TOL:
         raise SingularSystemError("equilibrium residual exceeds tolerance")
-    return Distribution(_readonly(pi))
+    return _readonly(pi)
 
 
-def fundamental_matrix(matrix, target: int) -> FundamentalMatrix:
-    """N = (I - Q)^-1 where Q is P with the target row and column removed.
+def hitting_stats(matrix: StochasticMatrix, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of the first-hitting time of ``target``, in steps.
+
+    Returns two read-only vectors indexed by start state; both are 0 at the
+    target itself. With N = (I - Q)^-1, where Q is P with the target row
+    and column removed, the means are t = N 1 and the variances
+    (2N - I) t - t*t.
 
     Raises:
         SingularMatrixError: I - Q is singular or too ill-conditioned for
-            the inverse to satisfy its defining identity at 1e-10.
+            its inverse to satisfy the defining identity at 1e-10, or a
+            variance came out negative.
     """
-    rows = _as_rows(matrix)
+    rows = matrix.rows
     n = rows.shape[0]
     if not 0 <= target < n:
         raise IndexError(f"target {target} outside 0..{n - 1}")
     keep = [i for i in range(n) if i != target]
-    q = rows[np.ix_(keep, keep)]
-    a = np.eye(n - 1) - q
+    a = np.eye(n - 1) - rows[np.ix_(keep, keep)]
     try:
         fund = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"I - Q singular for target {target}: {exc}") from exc
     if keep and np.abs(a @ fund - np.eye(n - 1)).max() > 1e-10:
         raise SingularMatrixError(f"inverse of I - Q inaccurate for target {target}")
-    return FundamentalMatrix(_readonly(fund), target, tuple(keep))
-
-
-def hitting_stats(matrix, target: int) -> HittingStats:
-    """First-hitting-time mean and variance of ``target`` from each other state.
-
-    Mean vector is N 1; variance vector is (2N - I) t - t*t with t = N 1,
-    both in squared step units.
-    """
-    fund = fundamental_matrix(matrix, target)
-    m = fund.matrix.shape[0]
-    t = fund.matrix @ np.ones(m)
-    var = (2.0 * fund.matrix - np.eye(m)) @ t - t * t
-    if m and var.min() < -1e-9:
+    t = fund @ np.ones(n - 1)
+    var = (2.0 * fund - np.eye(n - 1)) @ t - t * t
+    if keep and var.min() < -1e-9:
         raise SingularMatrixError(
             f"hitting variance came out negative ({var.min()!r}); ill-conditioned chain")
-    return HittingStats(fund.target, fund.index_map, _readonly(t), _readonly(var))
+    means, variances = np.zeros(n), np.zeros(n)
+    means[keep], variances[keep] = t, var
+    return _readonly(means), _readonly(variances)

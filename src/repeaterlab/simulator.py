@@ -5,8 +5,8 @@ simulator of 2^k-link nested repeater chains (single-heralded elementary
 link generation, deterministic swapping with explicit classical
 communication delays).
 
-Determinism contract: every trajectory owns an independent RNG stream
-derived from (seed, trajectory_index), and all reductions are ordered by
+Determinism contract: every trajectory owns an independent Philox stream
+keyed by (seed, trajectory_index), and all reductions are ordered by
 trajectory index, so results depend on the seed alone, never on batch or
 chunk sizes. Trajectories are walked in vectorized lock-step batches, one
 batch after another on the calling thread; each trajectory still consumes
@@ -30,7 +30,7 @@ import numpy as np
 from .estimators import ArgumentRangeError, check_nested
 from .protocols import ProtocolChain
 
-_RNG_ALGORITHMS = ("philox", "pcg64")
+RNG_ALGORITHM = "philox"  # the bit generator of every trajectory stream
 _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 1000 is one
 _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the draw and bucket
                       # arrays (about 17 bytes per draw in the walker), not the results
@@ -44,7 +44,6 @@ class SimConfig:
     seed: int
     steps_per_trajectory: int = 100_000
     trajectories: int = 1_000
-    rng_algorithm: str = "philox"
 
     def __post_init__(self):
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
@@ -53,8 +52,6 @@ class SimConfig:
             raise ArgumentRangeError("steps_per_trajectory", self.steps_per_trajectory, ">= 1")
         if self.trajectories < 1:
             raise ArgumentRangeError("trajectories", self.trajectories, ">= 1")
-        if self.rng_algorithm not in _RNG_ALGORITHMS:
-            raise ArgumentRangeError("rng_algorithm", self.rng_algorithm, str(_RNG_ALGORITHMS))
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,7 @@ class SimulationResult:
 def _trajectory_generator(config: SimConfig, index: int) -> np.random.Generator:
     # one independent, reproducible substream per (seed, trajectory index)
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-    if config.rng_algorithm == "philox":
-        return np.random.Generator(np.random.Philox(ss))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def _batches(total: int) -> list[range]:

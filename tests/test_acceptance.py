@@ -56,8 +56,8 @@ def solver_equilibrium_success(chain) -> float:
 
 
 def solver_latency(chain):
-    hs = markov.hitting_stats(chain.matrix, chain.success_state)
-    return hs.for_state(chain.start_state)
+    means, variances = markov.hitting_stats(chain.matrix, chain.success_state)
+    return means[chain.start_state], variances[chain.start_state]
 
 
 def naive_se(pi: float, steps: int, trajectories: int) -> float:
@@ -270,7 +270,7 @@ def test_c8_bruteforce_hitting_oracle(announce, request):
 
 
 def test_c9_byte_identical_csv(announce, request, tmp_path):
-    announce("C9 same-seed CSV byte equality across thread caps")
+    announce("C9 same-seed CSV byte equality across interpreters")
 
     def body():
         targets = [
@@ -280,17 +280,17 @@ def test_c9_byte_identical_csv(announce, request, tmp_path):
         ]
         for i, target in enumerate(targets):
             blobs = []
-            for cap in ("1", "7"):
-                csv_path = tmp_path / f"t{i}_cap{cap}.csv"
-                json_path = tmp_path / f"t{i}_cap{cap}.json"
+            for hashseed in ("0", "1"):
+                csv_path = tmp_path / f"t{i}_hash{hashseed}.csv"
+                json_path = tmp_path / f"t{i}_hash{hashseed}.json"
                 argv = [sys.executable, "-m", "repeaterlab", "simulate", *target,
                         "--steps", "20000", "--trajectories", "64",
                         "--seed", str(SEED), "--csv-out", str(csv_path),
                         "--json-out", str(json_path)]
-                env = dict(os.environ, REPEATERLAB_THREADS=cap)
+                env = dict(os.environ, PYTHONHASHSEED=hashseed)
                 subprocess.run(argv, env=env, check=True, capture_output=True)
                 blobs.append(csv_path.read_bytes())
-            assert blobs[0] == blobs[1], f"target {target} differs across thread caps"
+            assert blobs[0] == blobs[1], f"target {target} differs across interpreters"
             assert blobs[0].startswith(b"trajectory_index,success_count\n")
 
     run(request.node, body)

@@ -303,7 +303,12 @@ class TestSweep:
          "varied_params": [{"name": "k", "start": 1, "stop": 1100, "count": 2}],
          "fixed_params": {"p": 0.5},
          "outputs": ["nested_type1"]},
-    ], ids=["nested-k-2.5", "shs-p-1.5", "nested-k-1100"])
+        {"protocol": "shs",
+         "varied_params": [{"name": "p", "start": 0.5, "stop": 0.9, "count": 2}],
+         "fixed_params": {"ps": 1.0, "horizon": 2_000_000, "steps": 20000,
+                          "trajectories": 100},
+         "outputs": ["simulated_mean", "naive_var"]},
+    ], ids=["nested-k-2.5", "shs-p-1.5", "nested-k-1100", "shs-horizon-2e6"])
     def test_bad_late_point_rejected_before_simulating(self, capsys, tmp_path,
                                                        monkeypatch, payload):
         def no_simulation(*args, **kwargs):
@@ -317,17 +322,19 @@ class TestSweep:
         assert json.loads(err)["error"]["category"] == "validation"
 
     def test_underflowing_nested_rate_exits_3(self, capsys, tmp_path):
-        # p^2 underflows to 0, so the level-one closed form divides 0 by 0
-        spec = self.write_spec(tmp_path, {
-            "protocol": "nested",
-            "varied_params": [{"name": "k", "start": 1, "stop": 2, "count": 2}],
-            "fixed_params": {"p": 1e-200},
-            "outputs": ["nested_type1"],
-        })
-        dest = tmp_path / "never.csv"
-        code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
-        assert code == 3 and not dest.exists()
-        assert json.loads(err)["error"]["category"] == "numerical"
+        # at 1e-200, p^2 underflows to 0, so the level-one closed form divides
+        # 0 by 0; at 1e-150 the level-one rate itself underflows to 0
+        for p in (1e-200, 1e-150):
+            spec = self.write_spec(tmp_path, {
+                "protocol": "nested",
+                "varied_params": [{"name": "k", "start": 1, "stop": 2, "count": 2}],
+                "fixed_params": {"p": p},
+                "outputs": ["nested_type1"],
+            })
+            dest = tmp_path / "never.csv"
+            code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+            assert code == 3 and not dest.exists(), p
+            assert json.loads(err)["error"]["category"] == "numerical"
 
     def test_zero_varied_params_gives_single_row(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, {
@@ -379,6 +386,17 @@ class TestCompare:
             error = json.loads(err)["error"]
             assert error["category"] == "validation"
             assert "--trajectories >= 2" in error["message"]
+
+    @pytest.mark.parametrize("p", ["1e-200", "1e-150"])
+    def test_numerical_failure_before_simulating(self, capsys, monkeypatch, p):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("compare simulated before computing the estimate")
+        monkeypatch.setattr(simulator, "simulate_chain", no_simulation)
+        monkeypatch.setattr(simulator, "simulate_nested", no_simulation)
+        code, out, err = run_cli(capsys, "compare", "--nested", "--k", "1", "--p", p,
+                                 "--steps", "10", "--trajectories", "4", "--seed", "1")
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["category"] == "numerical"
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "cmp.csv"

@@ -160,6 +160,14 @@ class TestNested:
             estimators.nested_throughput(0.5, estimators.MAX_NESTED_K + 1, "type1")
         assert estimators.nested_throughput(0.5, estimators.MAX_NESTED_K, "type2").level_k == 12
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("method", ["type1", "type2"])
+    def test_underflowed_rate_is_arithmetic_error(self, k, method):
+        # the level-one rate of p = 1e-150 underflows to 0: a numerical
+        # failure, not a rejected argument
+        with pytest.raises(FloatingPointError, match="level 1 underflowed"):
+            estimators.nested_throughput(1e-150, k, method)
+
 
 class TestVisitSequences:
     def test_against_matrix_powers(self):

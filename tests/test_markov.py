@@ -69,6 +69,7 @@ class TestEquilibrium:
         # pi proportional to (b, a) for [[1-a, a], [b, 1-b]]
         a, b = 0.5, 0.4
         pi = markov.equilibrium(markov.validate(LAZY_TWO))
+        assert pi.dtype == np.float64 and not pi.flags.writeable
         assert pi[0] == pytest.approx(b / (a + b), abs=1e-14)
         assert pi[1] == pytest.approx(a / (a + b), abs=1e-14)
 
@@ -85,7 +86,7 @@ class TestEquilibrium:
     @settings(max_examples=60, deadline=None)
     def test_direct_residual_and_normalization(self, rows):
         m = markov.validate(rows)
-        pi = np.asarray(markov.equilibrium(m))
+        pi = markov.equilibrium(m)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert pi.min() >= 0.0
         assert np.abs(pi @ np.asarray(rows) - pi).max() < 1e-11
@@ -94,51 +95,45 @@ class TestEquilibrium:
     @settings(max_examples=30, deadline=None)
     def test_direct_vs_power(self, rows):
         # the direct solve against power iteration of the lazy chain
-        direct = np.asarray(markov.equilibrium(markov.validate(rows)))
+        direct = markov.equilibrium(markov.validate(rows))
         power = equilibrium_bruteforce(rows)
         assert np.abs(direct - power).max() < 1e-9
 
     def test_matches_bruteforce_iteration(self):
-        pi = np.asarray(markov.equilibrium(markov.validate(BKP_HALF)))
+        pi = markov.equilibrium(markov.validate(BKP_HALF))
         ref = equilibrium_bruteforce(BKP_HALF)
         np.testing.assert_allclose(pi, ref, atol=1e-12)
 
 
 class TestHitting:
-    def test_fundamental_matrix_golden(self):
-        # deterministic ladder 0 -> 1 -> 2: Q is strictly upper triangular
-        rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-        fm = markov.fundamental_matrix(markov.validate(rows), target=2)
-        np.testing.assert_allclose(fm.matrix, [[1.0, 1.0], [0.0, 1.0]], atol=1e-14)
-        assert fm.index_map == (0, 1)
-
     def test_hitting_stats_deterministic(self):
+        # deterministic ladder 0 -> 1 -> 2: vectors indexed by state, 0 at the target
         rows = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-        hs = markov.hitting_stats(markov.validate(rows), target=2)
-        mean, var = hs.for_state(0)
-        assert mean == pytest.approx(2.0, abs=1e-14)
-        assert var == pytest.approx(0.0, abs=1e-14)
+        means, variances = markov.hitting_stats(markov.validate(rows), target=2)
+        np.testing.assert_allclose(means, [2.0, 1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(variances, [0.0, 0.0, 0.0], atol=1e-14)
+        assert not means.flags.writeable and not variances.flags.writeable
 
     def test_geometric_hitting(self):
         # stay with prob 1-p, hit with prob p: mean 1/p, var (1-p)/p^2
         p = 0.3
         rows = [[1.0 - p, p], [0.5, 0.5]]
-        hs = markov.hitting_stats(markov.validate(rows), target=1)
-        mean, var = hs.for_state(0)
+        means, variances = markov.hitting_stats(markov.validate(rows), target=1)
+        mean, var = means[0], variances[0]
         assert mean == pytest.approx(1.0 / p, rel=1e-14)
         assert var == pytest.approx((1.0 - p) / p**2, rel=1e-14)
 
     def test_unreachable_target_is_singular(self):
         rows = [[1.0, 0.0], [0.5, 0.5]]
         with pytest.raises(markov.SingularMatrixError):
-            markov.fundamental_matrix(markov.validate(rows), target=1)
+            markov.hitting_stats(markov.validate(rows), target=1)
 
     @given(stochastic_rows(min_n=2, max_n=5))
     @settings(max_examples=25, deadline=None)
     def test_hitting_matches_bruteforce(self, rows):
         m = markov.validate(rows)
-        hs = markov.hitting_stats(m, target=m.n - 1)
-        mean, var = hs.for_state(0)
+        means, variances = markov.hitting_stats(m, target=m.n - 1)
+        mean, var = means[0], variances[0]
         ref_mean, ref_var = hitting_moments_bruteforce(rows, 0, m.n - 1)
         assert mean == pytest.approx(ref_mean, abs=1e-8)
         assert var == pytest.approx(ref_var, abs=1e-8)
@@ -151,8 +146,6 @@ class TestHitting:
         # solve and the fundamental-matrix hitting means must agree
         m = markov.validate(rows)
         pi = markov.equilibrium(m)
-        hs = markov.hitting_stats(m, target=0)
-        P = np.asarray(rows)
-        ret = 1.0 + sum(P[0, j] * hs.means[hs.index_map.index(j)]
-                        for j in range(1, m.n))
+        means, _ = markov.hitting_stats(m, target=0)
+        ret = 1.0 + np.asarray(rows)[0] @ means  # means[0] is 0 at the target
         assert ret == pytest.approx(1.0 / pi[0], rel=1e-9)

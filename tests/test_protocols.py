@@ -25,8 +25,8 @@ GRID = [0.1 * i for i in range(1, 10)]
 
 
 def latency_var_by_solver(chain) -> float:
-    hs = markov.hitting_stats(chain.matrix, chain.success_state)
-    return hs.for_state(chain.start_state)[1]
+    _, variances = markov.hitting_stats(chain.matrix, chain.success_state)
+    return variances[chain.start_state]
 
 
 class TestParamObjects:
@@ -271,8 +271,8 @@ class TestClosedFormLatencyVariance:
         params = TwoLinkParams((0.5,), (0.5,), 1.0)
         assert cf_latency_variance_shs(params) == pytest.approx(8 / 3, abs=1e-13)
         chain = build_chain(params)
-        hs = markov.hitting_stats(chain.matrix, chain.success_state)
-        mean, var = hs.for_state(chain.start_state)
+        means, variances = markov.hitting_stats(chain.matrix, chain.success_state)
+        mean, var = means[chain.start_state], variances[chain.start_state]
         assert mean == pytest.approx(11 / 3, abs=1e-13)
         assert var == pytest.approx(8 / 3, abs=1e-13)
 

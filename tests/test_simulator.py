@@ -51,6 +51,25 @@ REFERENCE_ROWS = {
 }
 
 
+# bit generators the engines are checked on; the program itself keys Philox
+# streams only, and a second family shows that the walker and the nested
+# engine depend on the uniform draws alone, not on the generator behind them
+BIT_GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
+
+
+def use_streams(monkeypatch, rng: str) -> None:
+    """Key every trajectory stream, as the program does, but on bit generator `rng`."""
+    if rng == simulator.RNG_ALGORITHM:
+        return  # the program's own generator, unpatched
+    bit_generator = BIT_GENERATORS[rng]
+
+    def trajectory_generator(config, index):
+        ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
+        return np.random.Generator(bit_generator(ss))
+
+    monkeypatch.setattr(simulator, "_trajectory_generator", trajectory_generator)
+
+
 class ReplayGenerator:
     """Stands in for a trajectory generator and hands out fixed draws in order."""
 
@@ -68,7 +87,6 @@ class TestConfig:
         cfg = SimConfig(seed=7)
         assert cfg.steps_per_trajectory == 100_000
         assert cfg.trajectories == 1_000
-        assert cfg.rng_algorithm == "philox"
 
     def test_validation(self):
         with pytest.raises(ArgumentRangeError):
@@ -79,8 +97,6 @@ class TestConfig:
             SimConfig(seed=1, steps_per_trajectory=0)
         with pytest.raises(ArgumentRangeError):
             SimConfig(seed=1, trajectories=0)
-        with pytest.raises(ArgumentRangeError):
-            SimConfig(seed=1, rng_algorithm="mt19937")
 
     def test_full_seed_range_accepted(self):
         SimConfig(seed=0)
@@ -169,14 +185,6 @@ class TestChainWalker:
                                               trajectories=300))
         assert big.success_counts[:10] == small.success_counts
 
-    def test_pcg64_backend(self):
-        chain = build_chain(MultiHeraldParams((0.5,)))
-        cfg = SimConfig(seed=4, steps_per_trajectory=2_000, trajectories=4,
-                        rng_algorithm="pcg64")
-        res = simulate_chain(chain, cfg)
-        assert res.config_echo.rng_algorithm == "pcg64"
-        assert res.mean_throughput == pytest.approx(0.5, abs=0.05)
-
     def test_matches_equilibrium_small_scale(self):
         chain = build_chain(TwoLinkParams((0.6,), (0.5,), 0.8))
         res = simulate_chain(chain, SimConfig(seed=12, steps_per_trajectory=20_000,
@@ -217,15 +225,15 @@ class TestNestedEngine:
         for k, p in [(1, 0.9), (2, 0.5), (3, 0.3)]:
             assert nested_counts_stepwise(k, p, cfg) == simulate_nested(k, p, cfg).success_counts
 
-    @pytest.mark.parametrize("rng", ["philox", "pcg64"])
+    @pytest.mark.parametrize("rng", list(BIT_GENERATORS))
     @pytest.mark.parametrize("p", [0.03, 0.25, 0.9, 1.0])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_stepwise_oracle(self, k, p, rng, monkeypatch):
+        use_streams(monkeypatch, rng)  # the engine and the oracle draw from the same streams
         # 1030 trajectories span two batches; small draw chunks make rounds
         # straddle chunks, down to one step per chunk
         for steps, trajectories in itertools.product((1, 97), (1, 3, 1030)):
-            cfg = SimConfig(seed=31, steps_per_trajectory=steps, trajectories=trajectories,
-                            rng_algorithm=rng)
+            cfg = SimConfig(seed=31, steps_per_trajectory=steps, trajectories=trajectories)
             expect = nested_counts_stepwise(k, p, cfg)
             for chunk_draws in (1, 7, 64, simulator._CHUNK_DRAWS):
                 with monkeypatch.context() as patch:
@@ -263,7 +271,7 @@ GOLDEN_CHAINS = {
     "dhs": TwoLinkParams((0.5, 0.6), (0.7, 0.4), 0.9),
 }
 
-# digests of success_counts at seed 5, keyed by (chain, rng, trajectories, steps)
+# digests of success_counts at seed 5, keyed by (chain, generator, trajectories, steps)
 GOLDEN_CHAIN_COUNTS = {
     ("mh2", "philox", 1, 5000): "eef79a6a04f78a54",
     ("mh2", "philox", 700, 2000): "311322b049ef2faf",
@@ -297,7 +305,7 @@ GOLDEN_CHAIN_COUNTS = {
     ("dhs", "pcg64", 1100, 600): "158a18037289b8b3",
 }
 
-# digests of success_counts at seed 13, keyed by (k, p, rng, trajectories, steps)
+# digests of success_counts at seed 13, keyed by (k, p, generator, trajectories, steps)
 GOLDEN_NESTED_COUNTS = {
     (1, 0.5, "philox", 1100, 700): "b7ba82d86525f654",
     (1, 0.5, "pcg64", 1100, 700): "fe6a1b6fcce98c68",
@@ -318,18 +326,18 @@ class TestGoldenCounts:
     """
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_CHAIN_COUNTS), ids=lambda key: "-".join(map(str, key)))
-    def test_chain_counts(self, key):
+    def test_chain_counts(self, key, monkeypatch):
         name, rng, trajectories, steps = key
-        cfg = SimConfig(seed=5, steps_per_trajectory=steps, trajectories=trajectories,
-                        rng_algorithm=rng)
+        use_streams(monkeypatch, rng)
+        cfg = SimConfig(seed=5, steps_per_trajectory=steps, trajectories=trajectories)
         res = simulate_chain(build_chain(GOLDEN_CHAINS[name]), cfg)
         assert counts_digest(res.success_counts) == GOLDEN_CHAIN_COUNTS[key]
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_NESTED_COUNTS), ids=lambda key: "-".join(map(str, key)))
-    def test_nested_counts(self, key):
+    def test_nested_counts(self, key, monkeypatch):
         k, p, rng, trajectories, steps = key
-        cfg = SimConfig(seed=13, steps_per_trajectory=steps, trajectories=trajectories,
-                        rng_algorithm=rng)
+        use_streams(monkeypatch, rng)
+        cfg = SimConfig(seed=13, steps_per_trajectory=steps, trajectories=trajectories)
         res = simulate_nested(k, p, cfg)
         assert counts_digest(res.success_counts) == GOLDEN_NESTED_COUNTS[key]
 
