@@ -12,9 +12,12 @@ with '.' as the decimal separator; non-finite values abort with exit 3
 instead of being written. File outputs are written to a temporary file and
 renamed into place, so a failed run never leaves a partial file behind.
 
-Units: chain rates are reported per elementary step in sweep and compare
-output (multiply by 1/tau for physical rates); estimate_throughput values
-inside analyze reports are per time unit. Latencies are in time units.
+Units: a chain step lasts tau time units (default 1.0). Sweep columns:
+equilibrium, nested_type1, nested_type2 and simulated_mean are successes per
+step; mean_latency is in time units; latency_std_over_mean has no unit;
+naive_var and exact_var are variances of the per-time-unit rate over horizon
+steps. compare reports rates per step; analyze reports throughput per time
+unit and latency in time units.
 """
 from __future__ import annotations
 
@@ -34,29 +37,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_CHAIN_METRICS = ("equilibrium", "mean_latency", "latency_std_over_mean",
-                  "naive_var", "exact_var", "simulated_mean")
-_NESTED_METRICS = ("nested_type1", "nested_type2", "simulated_mean")
-_ALL_METRICS = ("equilibrium", "mean_latency", "latency_std_over_mean",
-                "naive_var", "exact_var", "nested_type1", "nested_type2",
-                "simulated_mean")
-
 # sweep parameter names that configure the run rather than the protocol;
 # they may only appear in fixed_params
 _RESERVED_FIXED = ("tau", "horizon", "steps", "trajectories", "seed", "n")
 
-_SHS_ALIASES = {
-    "pl": ("pl",), "pr": ("pr",), "ps": ("ps",),
-    "p": ("pl", "pr"),
-}
-_DHS_ALIASES = {
-    "pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",),
-    "ps": ("ps",),
-    "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"),
-    "pl": ("pl1", "pl2"), "pr": ("pr1", "pr2"),
-    "p": ("pl1", "pl2", "pr1", "pr2"),
-}
-_NESTED_ALIASES = {"p": ("p",), "k": ("k",)}
+# flags that describe a protocol chain, in the order errors list them
+_CHAIN_FLAGS = ("--protocol", "--probs", "--pl", "--pr", "--ps", "--tau", "--params-json")
 
 
 class CliValidationError(ValueError):
@@ -125,13 +111,14 @@ def _require_int(name: str, value, minimum: int) -> int:
 
 # --------------------------------------------------- protocol flag parsing
 
+def _given(args, flags) -> list[str]:
+    """Those of ``flags`` that were set on the command line."""
+    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+
+
 def _params_from_args(args):
     """Resolve (--params-json | --protocol + prob flags) into (params, tau)."""
-    inline = [name for name, val in (("--protocol", args.protocol),
-                                     ("--probs", args.probs),
-                                     ("--pl", args.pl), ("--pr", args.pr),
-                                     ("--ps", args.ps), ("--tau", args.tau))
-              if val is not None]
+    inline = _given(args, _CHAIN_FLAGS[:-1])
     if args.params_json is not None:
         if inline:
             raise CliValidationError(
@@ -214,6 +201,60 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# ------------------------------------------------------- points and metrics
+
+class _Point:
+    """One target: chain params with their tau, or a nested level k and link p.
+
+    The chain and its latency estimate are built once each, on first use.
+    """
+
+    def __init__(self, params=None, tau=None, k=None, p=None):
+        self.params, self.k, self.p = params, k, p
+        self.tau = 1.0 if tau is None else tau
+        self.protocol = "nested" if params is None else protocols.protocol_name(params)
+        self._chain = self._latency = None
+
+    @property
+    def chain(self) -> protocols.ProtocolChain:
+        if self._chain is None:
+            self._chain = protocols.build_chain(self.params, self.tau)
+        return self._chain
+
+    @property
+    def latency(self) -> estimators.LatencyEstimate:
+        if self._latency is None:
+            self._latency = estimators.estimate_latency(self.chain)
+        return self._latency
+
+    def simulate(self, config: simulator.SimConfig) -> simulator.SimulationResult:
+        if self.params is None:
+            return simulator.simulate_nested(self.k, self.p, config)
+        return simulator.simulate_chain(self.chain, config)
+
+
+# metric -> (the sweep protocols it applies to, its value at a point pt given
+# the sweep plan, its row in compare or None); the module docstring has units
+_CHAIN = protocols.PROTOCOL_NAMES
+_METRICS = {
+    "equilibrium": (_CHAIN, lambda pt, plan: markov.equilibrium(
+        pt.chain.matrix)[pt.chain.success_state], "mean_throughput_per_step"),
+    "mean_latency": (_CHAIN, lambda pt, plan: pt.latency.mean, None),
+    "latency_std_over_mean": (
+        _CHAIN, lambda pt, plan: math.sqrt(pt.latency.variance) / pt.latency.mean, None),
+    "naive_var": (_CHAIN, lambda pt, plan: estimators.estimate_throughput(
+        pt.chain, plan.horizon).naive_variance, None),
+    "exact_var": (_CHAIN, lambda pt, plan: estimators.estimate_throughput(
+        pt.chain, plan.horizon, exact=True).exact_variance, None),
+    "nested_type1": (("nested",), lambda pt, plan: estimators.nested_throughput(
+        pt.p, pt.k, "type1").rate, "nested_type1_rate"),
+    "nested_type2": (("nested",), lambda pt, plan: estimators.nested_throughput(
+        pt.p, pt.k, "type2").rate, "nested_type2_rate"),
+    "simulated_mean": ((*_CHAIN, "nested"),
+                       lambda pt, plan: pt.simulate(plan.sim_config).mean_throughput, None),
+}
+
+
 # ------------------------------------------------------------------- sweep
 
 def _multiherald_aliases(prob_names, fixed):
@@ -225,7 +266,7 @@ def _multiherald_aliases(prob_names, fixed):
         if n is None:
             raise CliValidationError("tied 'p' needs fixed_params entry 'n'")
         n = _require_int("fixed_params.n", n, 1)
-        return {"p": tuple(f"p{i}" for i in range(1, n + 1))}, n
+        return {"p": tuple(f"p{i}" for i in range(1, n + 1))}
     if "n" in fixed:
         raise CliValidationError("fixed_params 'n' only applies with the tied 'p' alias")
     indices = []
@@ -239,11 +280,40 @@ def _multiherald_aliases(prob_names, fixed):
     if sorted(indices) != list(range(1, n + 1)):
         raise CliValidationError(
             f"round probabilities must cover p1..p{n} with no gaps or repeats")
-    return {f"p{i}": (f"p{i}",) for i in range(1, n + 1)}, n
+    return {f"p{i}": (f"p{i}",) for i in range(1, n + 1)}
+
+
+def _nested_point(slots, tau) -> _Point:
+    if tau is not None:
+        raise CliValidationError("fixed_params 'tau' does not apply to protocol 'nested'")
+    k, p = slots["k"], slots["p"]
+    if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
+        raise CliValidationError(f"nesting level k must be an integer, got {k!r}")
+    k = int(round(k))
+    estimators.check_nested(k, p)
+    return _Point(k=k, p=p)
+
+
+# sweep protocol -> (its parameter aliases, name -> the slots it sets, or a
+# function of (names, fixed_params) giving them; a function of the slot values
+# and fixed_params' tau (None if unset) giving the validated point)
+_PROTOCOLS = {
+    "multiherald": (_multiherald_aliases, lambda slots, tau: _Point(protocols.MultiHeraldParams(
+        tuple(slots[f"p{i}"] for i in range(1, len(slots) + 1))), tau)),
+    "shs": ({"pl": ("pl",), "pr": ("pr",), "ps": ("ps",), "p": ("pl", "pr")},
+            lambda slots, tau: _Point(protocols.TwoLinkParams(
+                (slots["pl"],), (slots["pr"],), slots["ps"]), tau)),
+    "dhs": ({"pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",), "ps": ("ps",),
+             "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"), "pl": ("pl1", "pl2"),
+             "pr": ("pr1", "pr2"), "p": ("pl1", "pl2", "pr1", "pr2")},
+            lambda slots, tau: _Point(protocols.TwoLinkParams(
+                (slots["pl1"], slots["pl2"]), (slots["pr1"], slots["pr2"]), slots["ps"]), tau)),
+    "nested": ({"p": ("p",), "k": ("k",)}, _nested_point),
+}
 
 
 class _SweepPlan:
-    """Validated sweep: grid axes, slot resolution, metric evaluator inputs."""
+    """Validated sweep: grid axes, slot resolution and every grid point."""
 
     def __init__(self, spec: dict):
         allowed_keys = {"protocol", "varied_params", "fixed_params", "outputs", "description"}
@@ -255,7 +325,7 @@ class _SweepPlan:
                 raise CliValidationError(f"sweep spec is missing {required!r}")
 
         self.protocol = spec["protocol"]
-        if self.protocol not in (*protocols.PROTOCOL_NAMES, "nested"):
+        if self.protocol not in _PROTOCOLS:
             raise CliValidationError(f"unknown sweep protocol {self.protocol!r}")
 
         self.outputs = list(spec["outputs"])
@@ -263,11 +333,10 @@ class _SweepPlan:
             raise CliValidationError("outputs must name at least one metric")
         if len(set(self.outputs)) != len(self.outputs):
             raise CliValidationError("outputs contains duplicates")
-        legal = _NESTED_METRICS if self.protocol == "nested" else _CHAIN_METRICS
         for metric in self.outputs:
-            if metric not in _ALL_METRICS:
+            if metric not in _METRICS:
                 raise CliValidationError(f"unknown metric {metric!r}")
-            if metric not in legal:
+            if self.protocol not in _METRICS[metric][0]:
                 raise CliValidationError(
                     f"metric {metric!r} does not apply to protocol {self.protocol!r}")
 
@@ -291,37 +360,32 @@ class _SweepPlan:
         if len(set(prob_names)) != len(prob_names):
             raise CliValidationError("a parameter name appears more than once")
 
-        if self.protocol == "shs":
-            aliases, self.n_rounds = _SHS_ALIASES, 1
-        elif self.protocol == "dhs":
-            aliases, self.n_rounds = _DHS_ALIASES, 2
-        elif self.protocol == "nested":
-            aliases, self.n_rounds = _NESTED_ALIASES, None
-        else:
-            aliases, self.n_rounds = _multiherald_aliases(prob_names, fixed)
+        aliases, build = _PROTOCOLS[self.protocol]
+        if callable(aliases):
+            aliases = aliases(prob_names, fixed)
+        elif "n" in fixed:
+            raise CliValidationError(
+                f"fixed_params 'n' does not apply to protocol {self.protocol!r}")
 
         slot_owner = {}
-        self.expansion = {}
         for name in prob_names:
             if name not in aliases:
                 raise CliValidationError(
                     f"unknown parameter {name!r} for protocol {self.protocol!r}")
-            slots = aliases[name]
-            for slot in slots:
+            for slot in aliases[name]:
                 if slot in slot_owner:
                     raise CliValidationError(
                         f"parameters {slot_owner[slot]!r} and {name!r} both set {slot!r}")
                 slot_owner[slot] = name
-            self.expansion[name] = slots
-        all_slots = set().union(*aliases.values())
-        uncovered = all_slots - set(slot_owner)
+        self.aliases = aliases
+        uncovered = set().union(*aliases.values()) - set(slot_owner)
         if uncovered:
             raise CliValidationError(f"parameters not set: {sorted(uncovered)}")
 
-        self.tau = float(fixed.get("tau", 1.0))
         self.horizon = _require_int("fixed_params.horizon", fixed.get("horizon", 100_000), 1)
         if "naive_var" in self.outputs or "exact_var" in self.outputs:
             estimators.check_horizon(self.horizon)
+        self.sim_config = None
         if "simulated_mean" in self.outputs:
             self.sim_config = simulator.SimConfig(
                 seed=_require_int("fixed_params.seed", fixed.get("seed", 0), 0),
@@ -330,80 +394,19 @@ class _SweepPlan:
                 trajectories=_require_int(
                     "fixed_params.trajectories", fixed.get("trajectories", 1_000), 1),
             )
-        else:
-            self.sim_config = None
 
         # every point is checked before any is evaluated, so a bad point late
         # in the grid fails the run before earlier points are simulated
-        self.points = [(combo, self.params_for(self.slots_for(combo))) for combo in self.grid()]
+        tau = float(fixed["tau"]) if "tau" in fixed else None
+        self.points = [(combo, build(self.slots_for(combo), tau)) for combo in self.grid()]
 
     def grid(self):
-        axes = [axis for _, axis in self.varied]
-        return list(itertools.product(*axes))
+        return list(itertools.product(*[axis for _, axis in self.varied]))
 
     def slots_for(self, combo) -> dict:
-        assignment = {}
-        for (name, _), value in zip(self.varied, combo):
-            for slot in self.expansion[name]:
-                assignment[slot] = float(value)
-        for name, value in self.fixed_probs.items():
-            for slot in self.expansion[name]:
-                assignment[slot] = float(value)
-        return assignment
-
-    def params_for(self, slots):
-        """The validated parameters of one point: protocol params, or (k, p) for nested."""
-        if self.protocol == "nested":
-            k, p = slots["k"], slots["p"]
-            if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
-                raise CliValidationError(f"nesting level k must be an integer, got {k!r}")
-            k = int(round(k))
-            estimators.check_nested(k, p)
-            return k, p
-        if self.protocol == "multiherald":
-            return protocols.MultiHeraldParams(
-                tuple(slots[f"p{i}"] for i in range(1, self.n_rounds + 1)))
-        if self.protocol == "shs":
-            return protocols.TwoLinkParams((slots["pl"],), (slots["pr"],), slots["ps"])
-        return protocols.TwoLinkParams((slots["pl1"], slots["pl2"]),
-                                       (slots["pr1"], slots["pr2"]), slots["ps"])
-
-    def evaluate(self, params) -> list[float]:
-        """The output metrics at one point, from its params_for result."""
-        if self.protocol == "nested":
-            return self._evaluate_nested(*params)
-        chain = protocols.build_chain(params, self.tau)
-        values = []
-        latency = None
-        for metric in self.outputs:
-            if metric == "equilibrium":
-                values.append(markov.equilibrium(chain.matrix)[chain.success_state])
-            elif metric in ("mean_latency", "latency_std_over_mean"):
-                if latency is None:
-                    latency = estimators.estimate_latency(chain)
-                if metric == "mean_latency":
-                    values.append(latency.mean)
-                else:
-                    values.append(math.sqrt(latency.variance) / latency.mean)
-            elif metric == "naive_var":
-                values.append(estimators.estimate_throughput(chain, self.horizon).naive_variance)
-            elif metric == "exact_var":
-                values.append(estimators.estimate_throughput(
-                    chain, self.horizon, exact=True).exact_variance)
-            else:
-                values.append(simulator.simulate_chain(chain, self.sim_config).mean_throughput)
-        return values
-
-    def _evaluate_nested(self, k: int, p: float) -> list[float]:
-        values = []
-        for metric in self.outputs:
-            if metric == "nested_type1":
-                values.append(estimators.nested_throughput(p, k, "type1").rate)
-            elif metric == "nested_type2":
-                values.append(estimators.nested_throughput(p, k, "type2").rate)
-            else:
-                values.append(simulator.simulate_nested(k, p, self.sim_config).mean_throughput)
-        return values
+        named = zip([name for name, _ in self.varied], combo)
+        return {slot: float(value) for name, value in (*named, *self.fixed_probs.items())
+                for slot in self.aliases[name]}
 
 
 def cmd_sweep(args) -> int:
@@ -414,8 +417,9 @@ def cmd_sweep(args) -> int:
     plan = _SweepPlan(spec)
     header = [name for name, _ in plan.varied] + list(plan.outputs)
     lines = [",".join(header)]
-    for combo, params in plan.points:
-        metrics = plan.evaluate(params)
+    for combo, point in plan.points:
+        metrics = [_METRICS[metric][1](point, plan) for metric in plan.outputs]
+        point._chain = point._latency = None  # so the next point reuses their memory
         lines.append(",".join([_fmt(v) for v in combo] + [_fmt(v) for v in metrics]))
     _atomic_write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -423,23 +427,20 @@ def cmd_sweep(args) -> int:
 
 # -------------------------------------------------------- simulate/compare
 
-def _sim_target(args):
-    """(label dict, chain or None for nested, run closure) of a simulate/compare target."""
-    nested_flags = [name for name, val in (("--k", args.k), ("--p", args.p)) if val is not None]
+def _sim_point(args) -> _Point:
+    """The point a simulate/compare command line names."""
     if args.nested:
-        if args.protocol is not None or args.params_json is not None or args.probs is not None:
-            raise CliValidationError("--nested conflicts with protocol chain flags")
+        chain_flags = _given(args, _CHAIN_FLAGS)
+        if chain_flags:
+            raise CliValidationError(
+                f"--nested conflicts with protocol chain flags {', '.join(chain_flags)}")
         if args.k is None or args.p is None:
             raise CliValidationError("--nested requires --k and --p")
-        label = {"kind": "nested", "k": args.k, "p": args.p}
-        return label, None, lambda config: simulator.simulate_nested(args.k, args.p, config)
+        return _Point(k=args.k, p=args.p)
+    nested_flags = _given(args, ("--k", "--p"))
     if nested_flags:
         raise CliValidationError(f"{', '.join(nested_flags)} require --nested")
-    params, tau = _params_from_args(args)
-    chain = protocols.build_chain(params, tau)
-    label = {"kind": "chain", "protocol": protocols.protocol_name(params),
-             "params": json.loads(protocols.params_to_json(params, tau))}
-    return label, chain, lambda config: simulator.simulate_chain(chain, config)
+    return _Point(*_params_from_args(args))
 
 
 def _sim_config_from_args(args) -> simulator.SimConfig:
@@ -451,15 +452,19 @@ def _sim_config_from_args(args) -> simulator.SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    label, _, run = _sim_target(args)
-    config = _sim_config_from_args(args)
-    result = run(config)
+    point = _sim_point(args)
+    if point.params is None:
+        target = {"kind": "nested", "k": point.k, "p": point.p}
+    else:
+        target = {"kind": "chain", "protocol": point.protocol,
+                  "params": json.loads(protocols.params_to_json(point.params, point.tau))}
+    result = point.simulate(_sim_config_from_args(args))
     if args.csv_out is not None:
         lines = ["trajectory_index,success_count"]
         lines += [f"{i},{count}" for i, count in enumerate(result.success_counts)]
         _atomic_write(args.csv_out, "\n".join(lines) + "\n")
     summary = {
-        "target": label,
+        "target": target,
         "config": {
             "seed": result.config_echo.seed,
             "steps_per_trajectory": result.config_echo.steps_per_trajectory,
@@ -480,17 +485,12 @@ def cmd_compare(args) -> int:
     if args.trajectories < 2:
         raise CliValidationError(
             f"compare needs --trajectories >= 2 for a standard error, got {args.trajectories}")
-    label, chain, run = _sim_target(args)
-    # the analytical side first: a numerical failure there costs no simulation
-    if label["kind"] == "nested":
-        analytical = [(f"nested_{method}_rate",
-                       estimators.nested_throughput(args.p, args.k, method).rate)
-                      for method in ("type1", "type2")]
-    else:
-        analytical = [("mean_throughput_per_step",
-                       markov.equilibrium(chain.matrix)[chain.success_state])]
-    config = _sim_config_from_args(args)
-    result = run(config)
+    point = _sim_point(args)
+    # the analytical side first: a numerical failure there costs no simulation;
+    # compare rows read no sweep settings, so they get no plan
+    analytical = [(row, value(point, None)) for applies, value, row in _METRICS.values()
+                  if row is not None and point.protocol in applies]
+    result = point.simulate(_sim_config_from_args(args))
     simulated = result.mean_throughput
     err = result.std_error()
 
@@ -585,9 +585,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except NumericalOutputError as exc:
-        return _fail("numerical", exc)
-    except (markov.MarkovError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except (NumericalOutputError, markov.MarkovError, np.linalg.LinAlgError,
+            ArithmeticError) as exc:
         return _fail("numerical", exc)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         return _fail("validation", exc)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,61 @@ import pytest
 
 from repeaterlab import cli, protocols, simulator
 from repeaterlab.cli import main
+
+
+# one small spec per sweep protocol, each asking for every metric its protocol
+# accepts in mixed order; the shs spec runs at tau != 1
+GOLDEN_SWEEP_SPECS = {
+    "multiherald": {
+        "protocol": "multiherald",
+        "varied_params": [{"name": "p1", "start": 0.2, "stop": 0.8, "count": 2},
+                          {"name": "p2", "start": 0.3, "stop": 0.9, "count": 2}],
+        "fixed_params": {"horizon": 400, "steps": 300, "trajectories": 8, "seed": 5},
+        "outputs": ["exact_var", "simulated_mean", "equilibrium",
+                    "latency_std_over_mean", "naive_var", "mean_latency"],
+    },
+    "shs": {
+        "protocol": "shs",
+        "varied_params": [{"name": "p", "start": 0.3, "stop": 0.9, "count": 3}],
+        "fixed_params": {"ps": 0.8, "tau": 2.5, "horizon": 300, "steps": 200,
+                         "trajectories": 6, "seed": 11},
+        "outputs": ["mean_latency", "naive_var", "simulated_mean", "equilibrium",
+                    "exact_var", "latency_std_over_mean"],
+    },
+    "dhs": {
+        "protocol": "dhs",
+        "varied_params": [{"name": "p1", "start": 0.4, "stop": 0.7, "count": 2}],
+        "fixed_params": {"pl2": 0.6, "pr2": 0.5, "ps": 0.9, "horizon": 500,
+                         "steps": 300, "trajectories": 8, "seed": 2},
+        "outputs": ["latency_std_over_mean", "equilibrium", "exact_var",
+                    "mean_latency", "simulated_mean", "naive_var"],
+    },
+    "nested": {
+        "protocol": "nested",
+        "varied_params": [{"name": "k", "start": 1, "stop": 3, "count": 3}],
+        "fixed_params": {"p": 0.55, "steps": 300, "trajectories": 8, "seed": 3},
+        "outputs": ["simulated_mean", "nested_type2", "nested_type1"],
+    },
+}
+GOLDEN_COMPARE_ARGV = {
+    "chain": ("--protocol", "dhs", "--pl", "0.5,0.6", "--pr", "0.7,0.4", "--ps", "0.9",
+              "--tau", "2", "--steps", "300", "--trajectories", "8", "--seed", "7"),
+    "nested": ("--nested", "--k", "2", "--p", "0.45", "--steps", "300",
+               "--trajectories", "8", "--seed", "7"),
+}
+
+# sha256 of each output above: a change to any metric's arithmetic, to the
+# grid order or to the CSV format fails here
+GOLDEN_SWEEP_DIGESTS = {
+    "multiherald": "09f65ed362ec2dfb0a37c874b9a6cb7d1d8201c26f05f7a0e4e4bb0ff5e47313",
+    "shs": "503a8e2b447a010aca1711ffe2234cfa0f6daeec4ac201ddec264170212a7677",
+    "dhs": "964a740cade4b75ff06d85a9a9105aeff69b24a61c9f30f19df9c7c068c5cfa9",
+    "nested": "0c5f76dd6f2c09fa7de44cd3a36bb95fe001d7549e623df83a362143eeb20e2b",
+}
+GOLDEN_COMPARE_DIGESTS = {
+    "chain": "0c9c0cb2acea0e691aaddabce1165a2ea9cfaf8ff7c837fbe1e4c5f0eb1a04ed",
+    "nested": "224593cfdd678e4e796805dbf8e0d3149b11261ec1049cb7086f3d6790d79d99",
+}
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +218,12 @@ class TestSimulate:
             ("simulate", "--nested", "--k", "0", "--p", "0.5"),
             # 2^40 links would need terabytes of draws per step
             ("simulate", "--nested", "--k", "40", "--p", "0.5"),
+            # chain flags that the nested engine would silently ignore
+            ("simulate", "--nested", "--k", "1", "--p", "0.5", "--pl", "0.3"),
+            ("simulate", "--nested", "--k", "1", "--p", "0.5", "--pr", "0.3"),
+            ("simulate", "--nested", "--k", "1", "--p", "0.5", "--ps", "0.3"),
+            ("simulate", "--nested", "--k", "1", "--p", "0.5", "--tau", "7"),
+            ("compare", "--nested", "--k", "1", "--p", "0.5", "--pl", "0.3", "--tau", "7"),
         ]
         for argv in cases:
             code, _, err = run_cli(capsys, *argv)
@@ -281,6 +343,16 @@ class TestSweep:
             {"protocol": "shs", "varied_params": [],
              "fixed_params": {"p": 0.5, "ps": 1.0},
              "outputs": ["equilibrium", "equilibrium"]},
+            # run settings the protocol never reads
+            {"protocol": "nested",
+             "varied_params": [{"name": "k", "start": 1, "stop": 2, "count": 2}],
+             "fixed_params": {"p": 0.5, "tau": -5.0}, "outputs": ["nested_type1"]},
+            {"protocol": "shs", "varied_params": [],
+             "fixed_params": {"p": 0.5, "ps": 1.0, "n": 3}, "outputs": ["equilibrium"]},
+            {"protocol": "dhs", "varied_params": [],
+             "fixed_params": {"p": 0.5, "ps": 1.0, "n": 2}, "outputs": ["equilibrium"]},
+            {"protocol": "nested", "varied_params": [],
+             "fixed_params": {"k": 1, "p": 0.5, "n": 2}, "outputs": ["nested_type1"]},
         ]
         for payload in bad_specs:
             spec = self.write_spec(tmp_path, payload)
@@ -335,6 +407,23 @@ class TestSweep:
             code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
             assert code == 3 and not dest.exists(), p
             assert json.loads(err)["error"]["category"] == "numerical"
+
+    def test_units_at_tau_two(self, capsys, tmp_path):
+        # equilibrium is per step, mean_latency in time units, naive_var the
+        # variance of the per-time-unit rate over the horizon: pi (1 - pi) / (N tau^2)
+        spec = self.write_spec(tmp_path, {
+            "protocol": "shs", "varied_params": [],
+            "fixed_params": {"pl": 0.5, "pr": 0.5, "ps": 1.0, "tau": 2, "horizon": 100},
+            "outputs": ["equilibrium", "mean_latency", "naive_var"],
+        })
+        dest = tmp_path / "units.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 0
+        equilibrium, mean_latency, naive_var = map(
+            float, dest.read_text().splitlines()[1].split(","))
+        assert equilibrium == pytest.approx(3 / 11, rel=1e-12)
+        assert mean_latency == pytest.approx(22 / 3, rel=1e-12)
+        assert naive_var == pytest.approx((3 / 11) * (8 / 11) / 400, rel=1e-12)
 
     def test_zero_varied_params_gives_single_row(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, {
@@ -408,6 +497,26 @@ class TestCompare:
         assert dest.read_text().startswith("quantity,analytical,")
 
 
+class TestGoldenOutputs:
+    """Sweep and compare CSVs, to the last byte, for every protocol and metric."""
+
+    @pytest.mark.parametrize("protocol", sorted(GOLDEN_SWEEP_SPECS))
+    def test_sweep_csv(self, capsys, tmp_path, protocol):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(GOLDEN_SWEEP_SPECS[protocol]))
+        dest = tmp_path / "out.csv"
+        assert run_cli(capsys, "sweep", "--spec", str(spec), "--output", str(dest))[0] == 0
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == GOLDEN_SWEEP_DIGESTS[protocol]
+
+    @pytest.mark.parametrize("target", sorted(GOLDEN_COMPARE_ARGV))
+    def test_compare_csv(self, capsys, tmp_path, target):
+        dest = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "compare", *GOLDEN_COMPARE_ARGV[target],
+                             "--output", str(dest))
+        assert code == 0
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == GOLDEN_COMPARE_DIGESTS[target]
+
+
 class TestFigureSpecs:
     """Every checked-in figure spec must parse as a valid sweep plan."""
 
@@ -430,10 +539,9 @@ class TestFigureSpecs:
 class TestScripts:
     def test_validate_against_sim_runs(self):
         root = Path(__file__).resolve().parents[1]
-        path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, str(root / "scripts" / "validate_against_sim.py"),
              "--steps", "2000", "--trajectories", "20"],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+            capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "two-link double-heralded" in proc.stdout
