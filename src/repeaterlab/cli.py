@@ -37,9 +37,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
+# sweep run settings -> the outputs that read them; a spec may set one only
+# when it asks for such an output
+_RUN_SETTINGS = {"horizon": ("naive_var", "exact_var"), "steps": ("simulated_mean",),
+                 "trajectories": ("simulated_mean",), "seed": ("simulated_mean",)}
+
 # sweep parameter names that configure the run rather than the protocol;
 # they may only appear in fixed_params
-_RESERVED_FIXED = ("tau", "horizon", "steps", "trajectories", "seed", "n")
+_RESERVED_FIXED = ("tau", "n", *_RUN_SETTINGS)
 
 # flags that describe a protocol chain, in the order errors list them
 _CHAIN_FLAGS = ("--protocol", "--probs", "--pl", "--pr", "--ps", "--tau", "--params-json")
@@ -170,7 +175,7 @@ def _closed_form_deltas(params, chain, success, latency):
 def cmd_analyze(args) -> int:
     params, tau = _params_from_args(args)
     chain = protocols.build_chain(params, tau)
-    pi = markov.equilibrium(chain.matrix)
+    pi = chain.equilibrium
     success = float(pi[chain.success_state])
     throughput = estimators.estimate_throughput(chain, args.horizon, exact=args.exact)
     latency = estimators.estimate_latency(chain)
@@ -237,8 +242,8 @@ class _Point:
 # the sweep plan, its row in compare or None); the module docstring has units
 _CHAIN = protocols.PROTOCOL_NAMES
 _METRICS = {
-    "equilibrium": (_CHAIN, lambda pt, plan: markov.equilibrium(
-        pt.chain.matrix)[pt.chain.success_state], "mean_throughput_per_step"),
+    "equilibrium": (_CHAIN, lambda pt, plan: pt.chain.equilibrium[pt.chain.success_state],
+                    "mean_throughput_per_step"),
     "mean_latency": (_CHAIN, lambda pt, plan: pt.latency.mean, None),
     "latency_std_over_mean": (
         _CHAIN, lambda pt, plan: math.sqrt(pt.latency.variance) / pt.latency.mean, None),
@@ -382,6 +387,10 @@ class _SweepPlan:
         if uncovered:
             raise CliValidationError(f"parameters not set: {sorted(uncovered)}")
 
+        for setting, readers in _RUN_SETTINGS.items():
+            if setting in fixed and not set(readers) & set(self.outputs):
+                raise CliValidationError(
+                    f"fixed_params {setting!r} is read only by outputs {list(readers)}")
         self.horizon = _require_int("fixed_params.horizon", fixed.get("horizon", 100_000), 1)
         if "naive_var" in self.outputs or "exact_var" in self.outputs:
             estimators.check_horizon(self.horizon)

@@ -156,7 +156,7 @@ def estimate_throughput(chain: ProtocolChain, N: int, exact: bool = False) -> Th
         naive_variance = pi (1 - pi) / (N tau^2).
     """
     check_horizon(N)
-    p_succ = float(markov.equilibrium(chain.matrix)[chain.success_state])
+    p_succ = float(chain.equilibrium[chain.success_state])
     naive = p_succ * (1.0 - p_succ) / (N * chain.tau**2)
     ex = exact_throughput_variance(chain, N) if exact else None
     return ThroughputEstimate(p_succ / chain.tau, naive, ex, N, chain.tau)

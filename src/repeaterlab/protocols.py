@@ -22,6 +22,7 @@ and is applied by the estimators module.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -141,6 +142,11 @@ class ProtocolChain:
     @property
     def n(self) -> int:
         return self.matrix.n
+
+    @functools.cached_property
+    def equilibrium(self) -> np.ndarray:
+        """markov.equilibrium of the matrix, solved on first use and kept."""
+        return markov.equilibrium(self.matrix)
 
 
 def _round_rows(probs) -> np.ndarray:

@@ -5,12 +5,14 @@ simulator of 2^k-link nested repeater chains (single-heralded elementary
 link generation, deterministic swapping with explicit classical
 communication delays).
 
-Determinism contract: every trajectory owns an independent Philox stream
-keyed by (seed, trajectory_index), and all reductions are ordered by
-trajectory index, so results depend on the seed alone, never on batch or
+Determinism contract: trajectory i owns the Philox stream of
+numpy's SeedSequence(seed, spawn_key=(i,)), and all reductions are ordered
+by trajectory index, so results depend on the seed alone, never on batch or
 chunk sizes. Trajectories are walked in vectorized lock-step batches, one
 batch after another on the calling thread; each trajectory still consumes
-only its own stream.
+only its own stream. The Philox keys of a whole batch are derived in one
+vectorized pass, by a port of SeedSequence's hash mixing, instead of one
+SeedSequence per trajectory.
 
 The chain walker buckets each chunk of draws once against the merged
 breakpoints of all cumulative rows; a bucket fixes the next state from
@@ -22,6 +24,7 @@ resolved by k pairwise maxima over the success steps of its links.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -35,6 +38,13 @@ _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 100
 _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the draw and bucket
                       # arrays (about 17 bytes per draw in the walker), not the results
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
+MAX_TRAJECTORIES = 2**32  # spawn keys are one 32-bit word, as _spawn_keys assumes
+
+# SeedSequence's hash constants (numpy.random.bit_generator)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -50,8 +60,9 @@ class SimConfig:
             raise ArgumentRangeError("seed", self.seed, "unsigned 64-bit integer")
         if self.steps_per_trajectory < 1:
             raise ArgumentRangeError("steps_per_trajectory", self.steps_per_trajectory, ">= 1")
-        if self.trajectories < 1:
-            raise ArgumentRangeError("trajectories", self.trajectories, ">= 1")
+        if not 1 <= self.trajectories <= MAX_TRAJECTORIES:
+            raise ArgumentRangeError("trajectories", self.trajectories,
+                                     f"1..{MAX_TRAJECTORIES}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +85,75 @@ class SimulationResult:
         return float(np.sqrt(self.throughput_variance / len(self.success_counts)))
 
 
-def _trajectory_generator(config: SimConfig, index: int) -> np.random.Generator:
-    # one independent, reproducible substream per (seed, trajectory index)
-    ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hash of a 32-bit word, or of a uint32 array elementwise.
+
+    Returns the hashed value and the next hash constant.
+    """
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, y possibly a uint32 array."""
+    result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _spawn_keys(seed: int, batch: range) -> np.ndarray:
+    """Philox keys of SeedSequence(seed, spawn_key=(i,)) for i in batch, (len(batch), 2) uint64.
+
+    Equal to SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+    for seeds below 2^64 and indices below 2^32. The entropy is the seed's
+    two 32-bit words, zero-padded to the pool size of 4, then the index word.
+    Pooling the seed words does not depend on the index, so it runs once, on
+    Python ints; the index word's mixing and generate_state run on uint32
+    arrays over the batch, where products wrap mod 2^32 as in C.
+    """
+    pool, const = [], _INIT_A
+    for word in (seed & _MASK32, seed >> 32, 0, 0):
+        mixed, const = _hashmix(word, const, _MULT_A)
+        pool.append(mixed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], mixed)
+    index = np.arange(batch.start, batch.stop, dtype=np.uint32)
+    words, out_const = [], _INIT_B
+    for dst in range(4):
+        mixed, const = _hashmix(index, const, _MULT_A)
+        word, out_const = _hashmix(_mix(pool[dst], mixed), out_const, _MULT_B)
+        words.append(word)
+    # generate_state's uint64 words are pairs of 32-bit words, low word first
+    return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _fixed_key_type() -> type:
+    # numpy 2 imports numpy.random lazily, and importing this package must not
+    # pay for it, so the base class is imported on first use
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedKey(ISeedSequence):
+        """Hands Philox a precomputed key, where a SeedSequence would derive one."""
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for its key as generate_state(2, uint64)
+
+    return FixedKey
+
+
+def _trajectory_generators(config: SimConfig, batch: range) -> list[np.random.Generator]:
+    """The independent, reproducible stream of each trajectory index in batch."""
+    fixed_key = _fixed_key_type()
+    return [np.random.Generator(np.random.Philox(fixed_key(key)))
+            for key in _spawn_keys(config.seed, batch)]
 
 
 def _batches(total: int) -> list[range]:
@@ -157,7 +233,7 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> SimulationResult:
         return states
 
     def run_batch(batch: range) -> np.ndarray:
-        gens = [_trajectory_generator(config, i) for i in batch]
+        gens = _trajectory_generators(config, batch)
         chunk = max(1, _CHUNK_DRAWS // len(gens))
         states = np.full(len(gens), chain.start_state, dtype=np.intp)
         counts = np.zeros(len(gens), dtype=np.int64)
@@ -209,7 +285,7 @@ def simulate_nested(k: int, p: float, config: SimConfig) -> SimulationResult:
     never = np.iinfo(np.int64).max
 
     def run_batch(batch: range) -> np.ndarray:
-        gens = [_trajectory_generator(config, i) for i in batch]
+        gens = _trajectory_generators(config, batch)
         b = len(gens)
         chunk = max(1, _CHUNK_DRAWS // (b * leaves))
         start = np.zeros(b, dtype=np.int64)  # first step of each trajectory's current round

@@ -11,7 +11,16 @@ import math
 
 import numpy as np
 
-from repeaterlab import simulator
+# bit generators the engines are checked on; the program itself keys Philox
+# streams only, and a second family shows that the walker and the nested
+# engine depend on the uniform draws alone, not on the generator behind them
+BIT_GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
+
+
+def reference_generator(config, index: int, bit_generator=np.random.Philox):
+    """Trajectory index's stream, built by numpy's own SeedSequence, not the program's keys."""
+    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
+    return np.random.Generator(bit_generator(seq))
 
 
 def hitting_moments_bruteforce(rows, start: int, target: int,
@@ -129,7 +138,8 @@ def equilibrium_bruteforce(rows, iterations: int = 200_000) -> np.ndarray:
     return v
 
 
-def nested_counts_stepwise(k: int, p: float, config) -> tuple[int, ...]:
+def nested_counts_stepwise(k: int, p: float, config,
+                           bit_generator=np.random.Philox) -> tuple[int, ...]:
     """Success counts of the nested engine, stepped one time slot at a time.
 
     The slot-by-slot form of the process that simulator.simulate_nested
@@ -141,14 +151,15 @@ def nested_counts_stepwise(k: int, p: float, config) -> tuple[int, ...]:
     step on. Swap starts are evaluated after the step's generation outcomes,
     and links under a pending or completed swap do not regenerate. The span
     bookkeeping (disjoint power-of-two segments, timers only between
-    consumed children) is checked after every step. Debug-scale runs only.
+    consumed children) is checked after every step. Each trajectory draws
+    from reference_generator on bit_generator. Debug-scale runs only.
     """
     leaves = 1 << k
     steps = config.steps_per_trajectory
     b = config.trajectories
     uniforms = np.empty((b, steps, leaves))
     for i in range(b):
-        simulator._trajectory_generator(config, i).random(out=uniforms[i])
+        reference_generator(config, i, bit_generator).random(out=uniforms[i])
     seg = [np.zeros((b, leaves >> j), dtype=bool) for j in range(k + 1)]
     timer = [None] + [np.zeros((b, leaves >> j), dtype=np.int32) for j in range(1, k + 1)]
     counts = np.zeros(b, dtype=np.int64)

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repeaterlab import cli, protocols, simulator
+from repeaterlab import cli, markov, protocols, simulator
 from repeaterlab.cli import main
 
 
@@ -353,6 +354,18 @@ class TestSweep:
              "fixed_params": {"p": 0.5, "ps": 1.0, "n": 2}, "outputs": ["equilibrium"]},
             {"protocol": "nested", "varied_params": [],
              "fixed_params": {"k": 1, "p": 0.5, "n": 2}, "outputs": ["nested_type1"]},
+            # run settings no requested output reads
+            {"protocol": "shs", "varied_params": [],
+             "fixed_params": {"p": 0.5, "ps": 1.0, "horizon": 5},
+             "outputs": ["equilibrium", "simulated_mean"]},
+            {"protocol": "shs", "varied_params": [],
+             "fixed_params": {"p": 0.5, "ps": 1.0, "seed": 3}, "outputs": ["equilibrium"]},
+            {"protocol": "shs", "varied_params": [],
+             "fixed_params": {"p": 0.5, "ps": 1.0, "steps": 7}, "outputs": ["naive_var"]},
+            {"protocol": "multiherald", "varied_params": [],
+             "fixed_params": {"p1": 0.5, "trajectories": 2}, "outputs": ["exact_var"]},
+            {"protocol": "nested", "varied_params": [],
+             "fixed_params": {"k": 1, "p": 0.5, "seed": 3}, "outputs": ["nested_type1"]},
         ]
         for payload in bad_specs:
             spec = self.write_spec(tmp_path, payload)
@@ -424,6 +437,20 @@ class TestSweep:
         assert equilibrium == pytest.approx(3 / 11, rel=1e-12)
         assert mean_latency == pytest.approx(22 / 3, rel=1e-12)
         assert naive_var == pytest.approx((3 / 11) * (8 / 11) / 400, rel=1e-12)
+
+    def test_one_equilibrium_solve_per_point(self, capsys, tmp_path, monkeypatch):
+        solves = []
+        solve = markov.equilibrium
+        monkeypatch.setattr(markov, "equilibrium", lambda matrix: solves.append(1) or solve(matrix))
+        spec = self.write_spec(tmp_path, {
+            "protocol": "dhs",
+            "varied_params": [{"name": "p", "start": 0.3, "stop": 0.6, "count": 3}],
+            "fixed_params": {"ps": 0.9, "horizon": 50},
+            "outputs": ["naive_var", "equilibrium", "exact_var", "mean_latency"],
+        })
+        dest = tmp_path / "solves.csv"
+        assert run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))[0] == 0
+        assert len(solves) == 3
 
     def test_zero_varied_params_gives_single_row(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, {
@@ -534,6 +561,17 @@ class TestFigureSpecs:
         spec_dir = Path(__file__).resolve().parents[1] / "figures"
         spec = json.loads((spec_dir / "nested_throughput_vs_estimates.json").read_text())
         assert "seed" in spec["fixed_params"]
+
+
+class TestImportCost:
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="numpy 1 imports numpy.random with numpy itself")
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy 2 loads numpy.random lazily; the simulator imports it on first use
+        code = "import sys, repeaterlab.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestScripts:

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import nested_counts_stepwise
+from oracles import BIT_GENERATORS, nested_counts_stepwise, reference_generator
 
 from repeaterlab import markov, simulator
 from repeaterlab.estimators import ArgumentRangeError
@@ -51,23 +51,13 @@ REFERENCE_ROWS = {
 }
 
 
-# bit generators the engines are checked on; the program itself keys Philox
-# streams only, and a second family shows that the walker and the nested
-# engine depend on the uniform draws alone, not on the generator behind them
-BIT_GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
-
-
 def use_streams(monkeypatch, rng: str) -> None:
     """Key every trajectory stream, as the program does, but on bit generator `rng`."""
     if rng == simulator.RNG_ALGORITHM:
         return  # the program's own generator, unpatched
     bit_generator = BIT_GENERATORS[rng]
-
-    def trajectory_generator(config, index):
-        ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(index,))
-        return np.random.Generator(bit_generator(ss))
-
-    monkeypatch.setattr(simulator, "_trajectory_generator", trajectory_generator)
+    monkeypatch.setattr(simulator, "_trajectory_generators", lambda config, batch: [
+        reference_generator(config, i, bit_generator) for i in batch])
 
 
 class ReplayGenerator:
@@ -101,6 +91,35 @@ class TestConfig:
     def test_full_seed_range_accepted(self):
         SimConfig(seed=0)
         SimConfig(seed=2**64 - 1)
+
+    def test_trajectory_cap(self):
+        # spawn keys are one 32-bit word, so the last index is 2^32 - 1
+        assert SimConfig(seed=1, trajectories=2**32).trajectories == simulator.MAX_TRAJECTORIES
+        with pytest.raises(ArgumentRangeError):
+            SimConfig(seed=1, trajectories=2**32 + 1)
+
+
+class TestSpawnKeys:
+    """The batch key port against numpy's own SeedSequence."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+             *np.random.default_rng(17).integers(0, 2**64, 40, dtype=np.uint64).tolist(),
+             *np.random.default_rng(18).integers(0, 2**32, 20, dtype=np.uint64).tolist()]
+
+    @pytest.mark.parametrize("start", [0, simulator._BATCH, 2**32 - 7])
+    def test_matches_seed_sequence(self, start):
+        batch = range(start, start + 7)
+        for seed in self.SEEDS:
+            expect = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
+                      for i in batch]
+            np.testing.assert_array_equal(simulator._spawn_keys(seed, batch), expect,
+                                          err_msg=f"seed {seed}")
+
+    def test_generators_match_numpy_streams(self):
+        cfg = SimConfig(seed=2**40 + 3)
+        batch = range(1020, 1030)
+        for i, gen in zip(batch, simulator._trajectory_generators(cfg, batch)):
+            np.testing.assert_array_equal(gen.random(9), reference_generator(cfg, i).random(9))
 
 
 class TestChainWalker:
@@ -156,7 +175,7 @@ class TestChainWalker:
     def test_matches_stepwise_reference(self, kind):
         chain = chain_from_rows(REFERENCE_ROWS[kind])
         cfg = SimConfig(seed=8, steps_per_trajectory=1_500, trajectories=12)
-        draws = [simulator._trajectory_generator(cfg, i).random(1_500) for i in range(12)]
+        draws = [reference_generator(cfg, i).random(1_500) for i in range(12)]
         assert simulate_chain(chain, cfg).success_counts == reference_counts(chain, draws)
 
     @pytest.mark.parametrize("kind", sorted(REFERENCE_ROWS))
@@ -170,8 +189,8 @@ class TestChainWalker:
         pool = pool[(pool >= 0.0) & (pool < 1.0)]  # the range of Generator.random
         rng = np.random.default_rng(4)
         draws = [rng.permutation(np.resize(pool, 600)) for _ in range(5)]
-        monkeypatch.setattr(simulator, "_trajectory_generator",
-                            lambda config, index: ReplayGenerator(draws[index]))
+        monkeypatch.setattr(simulator, "_trajectory_generators",
+                            lambda config, batch: [ReplayGenerator(draws[i]) for i in batch])
         cfg = SimConfig(seed=0, steps_per_trajectory=600, trajectories=5)
         assert simulate_chain(chain, cfg).success_counts == reference_counts(chain, draws)
 
@@ -234,7 +253,7 @@ class TestNestedEngine:
         # straddle chunks, down to one step per chunk
         for steps, trajectories in itertools.product((1, 97), (1, 3, 1030)):
             cfg = SimConfig(seed=31, steps_per_trajectory=steps, trajectories=trajectories)
-            expect = nested_counts_stepwise(k, p, cfg)
+            expect = nested_counts_stepwise(k, p, cfg, BIT_GENERATORS[rng])
             for chunk_draws in (1, 7, 64, simulator._CHUNK_DRAWS):
                 with monkeypatch.context() as patch:
                     patch.setattr(simulator, "_CHUNK_DRAWS", chunk_draws)
