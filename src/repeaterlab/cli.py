@@ -209,21 +209,30 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------- points and metrics
 
 class _Point:
-    """One target: chain params with their tau, or a nested level k and link p.
-
-    The chain and its latency estimate are built once each, on first use.
-    """
+    """One target: chain params with their tau, or a nested level k and link p."""
 
     def __init__(self, params=None, tau=None, k=None, p=None):
         self.params, self.k, self.p = params, k, p
         self.tau = 1.0 if tau is None else tau
         self.protocol = "nested" if params is None else protocols.protocol_name(params)
+
+
+class _Block:
+    """Targets of one protocol and one tau, evaluated together.
+
+    The chain targets share one chain that stacks theirs on a leading axis;
+    it and its latency estimate are built once each, on first use.
+    """
+
+    def __init__(self, points: list[_Point]):
+        self.points = points
         self._chain = self._latency = None
 
     @property
     def chain(self) -> protocols.ProtocolChain:
         if self._chain is None:
-            self._chain = protocols.build_chain(self.params, self.tau)
+            self._chain = protocols.build_chain([pt.params for pt in self.points],
+                                                self.points[0].tau)
         return self._chain
 
     @property
@@ -232,31 +241,41 @@ class _Point:
             self._latency = estimators.estimate_latency(self.chain)
         return self._latency
 
-    def simulate(self, config: simulator.SimConfig) -> simulator.SimulationResult:
-        if self.params is None:
-            return simulator.simulate_nested(self.k, self.p, config)
-        return simulator.simulate_chain(self.chain, config)
+    def simulate(self, i: int, config: simulator.SimConfig) -> simulator.SimulationResult:
+        point = self.points[i]
+        if point.params is None:
+            return simulator.simulate_nested(point.k, point.p, config)
+        return simulator.simulate_chain(self.chain.point(i), config)
 
 
-# metric -> (the sweep protocols it applies to, its value at a point pt given
-# the sweep plan, its row in compare or None); the module docstring has units
+def _exact_var(block: _Block, plan) -> list[float]:
+    # the rate checks of naive_var first, from the block's one equilibrium solve
+    estimators.estimate_throughput(block.chain, plan.horizon)
+    return [estimators.exact_throughput_variance(block.chain.point(i), plan.horizon)
+            for i in range(len(block.points))]
+
+
+# metric -> (the sweep protocols it applies to, its values at a block b given
+# the sweep plan, one per target, its row in compare or None); the module
+# docstring has units. Each chain metric but exact_var is one column of the
+# block's stacked chain; exact_var, nested_* and simulated_mean go target by
+# target.
 _CHAIN = protocols.PROTOCOL_NAMES
 _METRICS = {
-    "equilibrium": (_CHAIN, lambda pt, plan: pt.chain.equilibrium[pt.chain.success_state],
+    "equilibrium": (_CHAIN, lambda b, plan: b.chain.equilibrium[:, b.chain.success_state],
                     "mean_throughput_per_step"),
-    "mean_latency": (_CHAIN, lambda pt, plan: pt.latency.mean, None),
+    "mean_latency": (_CHAIN, lambda b, plan: b.latency.mean, None),
     "latency_std_over_mean": (
-        _CHAIN, lambda pt, plan: math.sqrt(pt.latency.variance) / pt.latency.mean, None),
-    "naive_var": (_CHAIN, lambda pt, plan: estimators.estimate_throughput(
-        pt.chain, plan.horizon).naive_variance, None),
-    "exact_var": (_CHAIN, lambda pt, plan: estimators.estimate_throughput(
-        pt.chain, plan.horizon, exact=True).exact_variance, None),
-    "nested_type1": (("nested",), lambda pt, plan: estimators.nested_throughput(
-        pt.p, pt.k, "type1").rate, "nested_type1_rate"),
-    "nested_type2": (("nested",), lambda pt, plan: estimators.nested_throughput(
-        pt.p, pt.k, "type2").rate, "nested_type2_rate"),
-    "simulated_mean": ((*_CHAIN, "nested"),
-                       lambda pt, plan: pt.simulate(plan.sim_config).mean_throughput, None),
+        _CHAIN, lambda b, plan: np.sqrt(b.latency.variance) / b.latency.mean, None),
+    "naive_var": (_CHAIN, lambda b, plan: estimators.estimate_throughput(
+        b.chain, plan.horizon).naive_variance, None),
+    "exact_var": (_CHAIN, _exact_var, None),
+    "nested_type1": (("nested",), lambda b, plan: [estimators.nested_throughput(
+        pt.p, pt.k, "type1").rate for pt in b.points], "nested_type1_rate"),
+    "nested_type2": (("nested",), lambda b, plan: [estimators.nested_throughput(
+        pt.p, pt.k, "type2").rate for pt in b.points], "nested_type2_rate"),
+    "simulated_mean": ((*_CHAIN, "nested"), lambda b, plan: [
+        b.simulate(i, plan.sim_config).mean_throughput for i in range(len(b.points))], None),
 }
 
 
@@ -418,6 +437,11 @@ class _SweepPlan:
                 for slot in self.aliases[name]}
 
 
+# a sweep evaluates its points in blocks of at most this many, so the stacked
+# chain of a block, and the memory it takes, stay bounded on any grid
+_BLOCK = 1024
+
+
 def cmd_sweep(args) -> int:
     with open(args.spec, "r") as handle:
         spec = json.load(handle)
@@ -426,10 +450,14 @@ def cmd_sweep(args) -> int:
     plan = _SweepPlan(spec)
     header = [name for name, _ in plan.varied] + list(plan.outputs)
     lines = [",".join(header)]
-    for combo, point in plan.points:
-        metrics = [_METRICS[metric][1](point, plan) for metric in plan.outputs]
-        point._chain = point._latency = None  # so the next point reuses their memory
-        lines.append(",".join([_fmt(v) for v in combo] + [_fmt(v) for v in metrics]))
+    for start in range(0, len(plan.points), _BLOCK):
+        rows = plan.points[start:start + _BLOCK]
+        block = _Block([point for _, point in rows])
+        # simulation last: a numerical failure anywhere in the block then costs none
+        columns = {metric: _METRICS[metric][1](block, plan)
+                   for metric in sorted(plan.outputs, key=lambda m: m == "simulated_mean")}
+        for (combo, _), *values in zip(rows, *[columns[metric] for metric in plan.outputs]):
+            lines.append(",".join([_fmt(v) for v in combo] + [_fmt(v) for v in values]))
     _atomic_write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -467,7 +495,7 @@ def cmd_simulate(args) -> int:
     else:
         target = {"kind": "chain", "protocol": point.protocol,
                   "params": json.loads(protocols.params_to_json(point.params, point.tau))}
-    result = point.simulate(_sim_config_from_args(args))
+    result = _Block([point]).simulate(0, _sim_config_from_args(args))
     if args.csv_out is not None:
         lines = ["trajectory_index,success_count"]
         lines += [f"{i},{count}" for i, count in enumerate(result.success_counts)]
@@ -495,11 +523,12 @@ def cmd_compare(args) -> int:
         raise CliValidationError(
             f"compare needs --trajectories >= 2 for a standard error, got {args.trajectories}")
     point = _sim_point(args)
+    block = _Block([point])
     # the analytical side first: a numerical failure there costs no simulation;
     # compare rows read no sweep settings, so they get no plan
-    analytical = [(row, value(point, None)) for applies, value, row in _METRICS.values()
+    analytical = [(row, value(block, None)[0]) for applies, value, row in _METRICS.values()
                   if row is not None and point.protocol in applies]
-    result = point.simulate(_sim_config_from_args(args))
+    result = block.simulate(0, _sim_config_from_args(args))
     simulated = result.mean_throughput
     err = result.std_error()
 

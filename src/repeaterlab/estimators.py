@@ -6,7 +6,8 @@ variance is available in two flavors: the naive binomial form that ignores
 step-to-step correlations, and the exact form that accumulates the full
 covariance double sum over the horizon. The nested estimators extrapolate
 two-link results to 2^k-link chains by feeding rates back in as effective
-link probabilities.
+link probabilities. The rate, the naive variance and the latency moments are
+elementwise, so a stacked chain (see protocols) gets one value per point.
 """
 from __future__ import annotations
 
@@ -36,39 +37,49 @@ class ArgumentRangeError(ValueError):
         self.value = value
 
 
+def _reject(name, value, bad, expected):
+    """Raise ArgumentRangeError at the first entry of value (a float or an array) where bad holds."""
+    bad = np.ravel(bad)
+    if bad.any():
+        raise ArgumentRangeError(name, np.ravel(value)[bad.argmax()].item(), expected)
+
+
 @dataclass(frozen=True)
 class ThroughputEstimate:
     """Success rate and its finite-horizon variance.
 
     mean_rate is in pairs per time unit; variances are in rate-squared
-    units for a horizon of horizon_N steps of duration tau.
+    units for a horizon of horizon_N steps of duration tau. For a stacked
+    chain, mean_rate and naive_variance hold one entry per point.
     """
 
-    mean_rate: float
-    naive_variance: float
+    mean_rate: float | np.ndarray
+    naive_variance: float | np.ndarray
     exact_variance: float | None
     horizon_N: int
     tau: float
 
     def __post_init__(self):
-        if not 0.0 <= self.mean_rate <= 1.0 / self.tau + 1e-12:
-            raise ArgumentRangeError("mean_rate", self.mean_rate, "[0, 1/tau]")
-        if self.naive_variance < -1e-12:
-            raise ArgumentRangeError("naive_variance", self.naive_variance, ">= -1e-12")
-        if self.exact_variance is not None and self.exact_variance < -1e-12:
-            raise ArgumentRangeError("exact_variance", self.exact_variance, ">= -1e-12")
+        rate = np.asarray(self.mean_rate)
+        _reject("mean_rate", rate, ~((0.0 <= rate) & (rate <= 1.0 / self.tau + 1e-12)),
+                "[0, 1/tau]")
+        _reject("naive_variance", self.naive_variance,
+                np.asarray(self.naive_variance) < -1e-12, ">= -1e-12")
+        # exact_throughput_variance checks exact_variance itself
 
 
 @dataclass(frozen=True)
 class LatencyEstimate:
-    """First-success time statistics in time units (mean) and squared (variance)."""
+    """First-success time statistics in time units (mean) and squared (variance).
 
-    mean: float
-    variance: float
+    For a stacked chain both hold one entry per point.
+    """
+
+    mean: float | np.ndarray
+    variance: float | np.ndarray
 
     def __post_init__(self):
-        if self.variance < -1e-12:
-            raise ArgumentRangeError("variance", self.variance, ">= -1e-12")
+        _reject("variance", self.variance, np.asarray(self.variance) < -1e-12, ">= -1e-12")
 
 
 @dataclass(frozen=True)
@@ -126,8 +137,14 @@ def exact_throughput_variance(chain: ProtocolChain, N: int) -> float:
 
         N^2 tau^2 Var = sum_k a_k (1 - a_k)
                         + 2 sum_{k<l} (b_{l-k} - a_l) a_k
+
+    Raises:
+        ValueError: the chain is a stack of chains; take one with chain.point(i).
+        ArgumentRangeError: the variance came out below -1e-12.
     """
     rows = chain.matrix.rows
+    if rows.ndim != 2:
+        raise ValueError(f"exact_throughput_variance takes one chain, not a stack {rows.shape}")
     a, b = _visit_probability_sequences(rows, chain.start_state, chain.success_state, N)
     single = float(np.sum(a * (1.0 - a)))
     # sum_{k<l} (b_{l-k} - a_l) a_k = sum_k a_k [B_{N-k} - (S_N - S_k)]
@@ -138,15 +155,19 @@ def exact_throughput_variance(chain: ProtocolChain, N: int) -> float:
         cross = float(np.sum(head * (acc_b[: N - 1][::-1] - acc_a[-1] + acc_a[: N - 1])))
     else:
         cross = 0.0
-    return (single + 2.0 * cross) / (N**2 * chain.tau**2)
+    var = (single + 2.0 * cross) / (N**2 * chain.tau**2)
+    if var < -1e-12:
+        raise ArgumentRangeError("exact_variance", var, ">= -1e-12")
+    return var
 
 
 def estimate_throughput(chain: ProtocolChain, N: int, exact: bool = False) -> ThroughputEstimate:
     """Long-run success rate plus naive and (optionally) exact N-step variance.
 
     Args:
-        chain: protocol chain; its equilibrium must exist (reducible
-            degenerate parameter corners surface solver errors instead).
+        chain: protocol chain, or a stacked chain when exact is False; its
+            equilibrium must exist (reducible degenerate parameter corners
+            surface solver errors instead).
         N: horizon in steps for the variance of the rate estimator, at most
             ``HORIZON_CAP``.
         exact: also evaluate the exact finite-horizon variance; O(N) passes.
@@ -156,7 +177,7 @@ def estimate_throughput(chain: ProtocolChain, N: int, exact: bool = False) -> Th
         naive_variance = pi (1 - pi) / (N tau^2).
     """
     check_horizon(N)
-    p_succ = float(chain.equilibrium[chain.success_state])
+    p_succ = chain.equilibrium[..., chain.success_state]
     naive = p_succ * (1.0 - p_succ) / (N * chain.tau**2)
     ex = exact_throughput_variance(chain, N) if exact else None
     return ThroughputEstimate(p_succ / chain.tau, naive, ex, N, chain.tau)
@@ -166,7 +187,7 @@ def estimate_latency(chain: ProtocolChain) -> LatencyEstimate:
     """Mean and variance of the time to first success from the start state."""
     means, variances = markov.hitting_stats(chain.matrix, chain.success_state)
     start = chain.start_state
-    return LatencyEstimate(float(means[start]) * chain.tau, float(variances[start]) * chain.tau**2)
+    return LatencyEstimate(means[..., start] * chain.tau, variances[..., start] * chain.tau**2)
 
 
 def check_horizon(N: int) -> None:

@@ -14,6 +14,9 @@ protocol phases with a designated failure (restart) state and success state:
   label per-link round progress (0, 1, or 2 = pair ready).
 
 One builder, build_two_link, makes both two-link chains from the round count.
+Every builder also takes a sequence of same-shape params and returns one
+chain whose matrix stacks the points' matrices on a leading axis, so a sweep
+solves all of its points together (see markov).
 
 The success-state row always equals the failure-state row: after delivering
 a pair the protocol restarts exactly as after a failure. Closed-form results
@@ -120,6 +123,8 @@ class ProtocolChain:
 
     start_state is the failure/restart state; success_state marks one
     delivered end-to-end pair. tau is the step duration in time units.
+    The matrix may be a stack of chains of one protocol and shape, which
+    share the labels, states and tau.
     """
 
     matrix: StochasticMatrix
@@ -136,7 +141,8 @@ class ProtocolChain:
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ProtocolError(f"tau must be positive and finite, got {self.tau!r}")
         # restart-after-success: delivering a pair resets the protocol
-        if not np.array_equal(self.matrix[self.success_state], self.matrix[self.start_state]):
+        rows = self.matrix.rows
+        if not np.array_equal(rows[..., self.success_state, :], rows[..., self.start_state, :]):
             raise ProtocolError("success-state row must equal start-state row")
 
     @property
@@ -148,34 +154,51 @@ class ProtocolChain:
         """markov.equilibrium of the matrix, solved on first use and kept."""
         return markov.equilibrium(self.matrix)
 
+    def point(self, i: int) -> "ProtocolChain":
+        """The i-th chain of a stacked chain."""
+        return ProtocolChain(StochasticMatrix(self.matrix.rows[i]), self.labels,
+                             self.start_state, self.success_state, self.tau)
 
-def _round_rows(probs) -> np.ndarray:
+
+def _probs(params, field: str) -> np.ndarray:
+    """A params field as an array: shape (r,) for one params object, (points, r) for a sequence.
+
+    A scalar field (swap_prob) gives shape () or (points,).
+    """
+    if isinstance(params, (MultiHeraldParams, TwoLinkParams)):
+        return np.asarray(getattr(params, field), dtype=float)
+    return np.array([getattr(point, field) for point in params], dtype=float)
+
+
+def _round_rows(probs: np.ndarray) -> np.ndarray:
     """Rows of an n-round link counter: row i < n passes round i+1 with p_i or drops to 0.
 
-    Row n, the link holding a pair, is left empty for the caller to fill.
+    probs has shape (..., n); the rows have shape (..., n + 1, n + 1). Row n,
+    the link holding a pair, is left empty for the caller to fill.
     """
-    n = len(probs)
-    rows = np.zeros((n + 1, n + 1))
-    for i, p in enumerate(probs):
-        rows[i, 0] = 1.0 - p
-        rows[i, i + 1] = p
+    n = probs.shape[-1]
+    rows = np.zeros(probs.shape[:-1] + (n + 1, n + 1))
+    rounds = np.arange(n)
+    rows[..., rounds, 0] = 1.0 - probs
+    rows[..., rounds, rounds + 1] = probs
     return rows
 
 
-def build_multiheralded(params: MultiHeraldParams, tau: float = 1.0) -> ProtocolChain:
+def build_multiheralded(params, tau: float = 1.0) -> ProtocolChain:
     """Chain for an n-round heralded link: states 0..n, success at n.
 
     Row i < n moves to i+1 with probability p_{i+1} and back to 0 otherwise;
-    the success row repeats row 0 (the protocol restarts).
+    the success row repeats row 0 (the protocol restarts). params is one
+    MultiHeraldParams or a sequence of them with one n (a stacked chain).
     """
-    n = params.n
-    rows = _round_rows(params.round_probs)
-    rows[n] = rows[0]
+    rows = _round_rows(_probs(params, "round_probs"))
+    n = rows.shape[-1] - 1
+    rows[..., n, :] = rows[..., 0, :]
     labels = tuple(str(i) for i in range(n + 1))
     return ProtocolChain(markov.validate(rows), labels, 0, n, float(tau))
 
 
-def build_two_link(params: TwoLinkParams, tau: float = 1.0) -> ProtocolChain:
+def build_two_link(params, tau: float = 1.0) -> ProtocolChain:
     """Two r-round heralded links plus one swap: states ij for i, j in 0..r, then S.
 
     Label "ij" gives the rounds passed on the left (i) and right (j) link;
@@ -184,21 +207,25 @@ def build_two_link(params: TwoLinkParams, tau: float = 1.0) -> ProtocolChain:
     round's probability or drops back to 0 rounds; ready links wait. From rr
     the swap succeeds with swap_prob (to S) or destroys both pairs (to 00).
     The shs scheme is r = 1 (states 00, 01, 10, 11, S), the dhs scheme r = 2.
+    params is one TwoLinkParams or a sequence of them with one r (a stacked
+    chain).
     """
-    r = len(params.left_probs)
+    left = _round_rows(_probs(params, "left_probs"))
+    right = _round_rows(_probs(params, "right_probs"))
+    swap = _probs(params, "swap_prob")
+    r = left.shape[-1] - 1
     width = r + 1
     ready = width * width - 1  # index of rr; S is ready + 1
-    left = _round_rows(params.left_probs)
-    right = _round_rows(params.right_probs)
-    left[r, r] = right[r, r] = 1.0
-    rows = np.zeros((ready + 2, ready + 2))
+    left[..., r, r] = right[..., r, r] = 1.0
+    stack = swap.shape
+    rows = np.zeros(stack + (ready + 2, ready + 2))
     # the links move independently: ij -> kl with probability left[i, k] * right[j, l]
-    joint = np.multiply.outer(left, right).transpose(0, 2, 1, 3)
-    rows[:-1, :-1] = joint.reshape(ready + 1, ready + 1)
-    rows[ready] = 0.0  # once both links hold a pair, the swap decides alone
-    rows[ready, 0] = 1.0 - params.swap_prob
-    rows[ready, -1] = params.swap_prob
-    rows[-1] = rows[0]
+    joint = left[..., :, None, :, None] * right[..., None, :, None, :]
+    rows[..., :-1, :-1] = joint.reshape(stack + (ready + 1, ready + 1))
+    rows[..., ready, :] = 0.0  # once both links hold a pair, the swap decides alone
+    rows[..., ready, 0] = 1.0 - swap
+    rows[..., ready, -1] = swap
+    rows[..., -1, :] = rows[..., 0, :]
     labels = tuple(f"{i}{j}" for i in range(width) for j in range(width)) + ("S",)
     return ProtocolChain(markov.validate(rows), labels, 0, ready + 1, float(tau))
 
@@ -293,12 +320,18 @@ PROTOCOL_NAMES = ("multiherald", "shs", "dhs")
 
 
 def build_chain(params, tau: float = 1.0) -> ProtocolChain:
-    """Dispatch to the right builder for a params object."""
-    if isinstance(params, MultiHeraldParams):
+    """Dispatch to the right builder for a params object.
+
+    params may also be a non-empty sequence of params of one protocol and
+    shape, which gives one stacked chain: its matrix has shape (points, n, n).
+    """
+    points = [params] if isinstance(params, (MultiHeraldParams, TwoLinkParams)) else params
+    kinds = {type(point) for point in points}
+    if kinds == {MultiHeraldParams}:
         return build_multiheralded(params, tau)
-    if isinstance(params, TwoLinkParams):
+    if kinds == {TwoLinkParams}:
         return build_two_link(params, tau)
-    raise TypeError(f"unsupported params type {type(params).__name__}")
+    raise TypeError(f"unsupported params types {sorted(kind.__name__ for kind in kinds)}")
 
 
 def protocol_name(params) -> str:

@@ -61,6 +61,21 @@ GOLDEN_SWEEP_DIGESTS = {
     "dhs": "964a740cade4b75ff06d85a9a9105aeff69b24a61c9f30f19df9c7c068c5cfa9",
     "nested": "0c5f76dd6f2c09fa7de44cd3a36bb95fe001d7549e623df83a362143eeb20e2b",
 }
+# sha256 of the CSV of each figure spec that neither simulates nor asks for
+# exact_var: whole 19 x 19 surfaces, so a change to the stacked evaluation of
+# any point fails here
+FIGURE_DIGESTS = {
+    "bkp_equilibrium_surface": "5f6140d8fc72afe9fadabfbd8c980fb8b10a6459c60d6773ea3b9bf4e9ec780b",
+    "bkp_latency_mean": "473dd5ffcbaf2dcf767beb77e7d44e425a24124ff39ea03f560f2b23fb56ac8e",
+    "bkp_latency_spread": "34daeb26fc16591c5a6350b4c0c732b0546846c5325ed0f2c812f72e0ab803d1",
+    "dhs_equilibrium_by_link": "6ebde2b299ddd181d1b597857451b7e37101d874f162d0af06711ca71887a6f4",
+    "dhs_equilibrium_by_round": "c7ad3f2c0ec477d4d918a599f2a50b0fc94ceee6c3a81512bba28d5807b25d4e",
+    "dhs_latency_spread_by_link": "2d9e971f7adba959dd4fcbc0033af32e938f4ed9d2ee3a15363b12a68061d30a",
+    "dhs_latency_spread_by_round": "6313f5dff5ccdf63bbe0c5083f1f4b9a9d8612576e3a07668e07bc1471f04870",
+    "shs_equilibrium_surface": "684fccf32741f278c2b1bf96fdafc8b68c3bd67f66aa7cbbfb76fcafe8413068",
+    "shs_latency_spread": "09e25ca53a8c27149317f391d3fe7dcbe27d9c830fb016178329429ff9f135f3",
+}
+FIGURES = Path(__file__).resolve().parents[1] / "figures"
 GOLDEN_COMPARE_DIGESTS = {
     "chain": "0c9c0cb2acea0e691aaddabce1165a2ea9cfaf8ff7c837fbe1e4c5f0eb1a04ed",
     "nested": "224593cfdd678e4e796805dbf8e0d3149b11261ec1049cb7086f3d6790d79d99",
@@ -439,9 +454,11 @@ class TestSweep:
         assert naive_var == pytest.approx((3 / 11) * (8 / 11) / 400, rel=1e-12)
 
     def test_one_equilibrium_solve_per_point(self, capsys, tmp_path, monkeypatch):
+        # one stacked solve covers every point, exact_var's included
         solves = []
         solve = markov.equilibrium
-        monkeypatch.setattr(markov, "equilibrium", lambda matrix: solves.append(1) or solve(matrix))
+        monkeypatch.setattr(markov, "equilibrium",
+                            lambda matrix: solves.append(matrix.rows.shape) or solve(matrix))
         spec = self.write_spec(tmp_path, {
             "protocol": "dhs",
             "varied_params": [{"name": "p", "start": 0.3, "stop": 0.6, "count": 3}],
@@ -450,7 +467,73 @@ class TestSweep:
         })
         dest = tmp_path / "solves.csv"
         assert run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))[0] == 0
-        assert len(solves) == 3
+        assert solves == [(3, 10, 10)]
+
+    @pytest.mark.parametrize("protocol, fixed, outputs, error", [
+        ("multiherald", {"p2": 0.5}, ["equilibrium", "mean_latency"], "SingularMatrixError"),
+        ("shs", {"ps": 0.5}, ["equilibrium"], "SingularSystemError"),
+    ])
+    def test_numerical_failure_at_a_point_exits_3(self, capsys, tmp_path, protocol, fixed,
+                                                  outputs, error):
+        # a dead link at the first point: the success state is never reached
+        # (multiherald p1 = 0), or the chain has no unique equilibrium (shs p = 0)
+        name = "p1" if protocol == "multiherald" else "p"
+        spec = self.write_spec(tmp_path, {
+            "protocol": protocol,
+            "varied_params": [{"name": name, "start": 0.0, "stop": 0.5, "count": 2}],
+            "fixed_params": fixed, "outputs": outputs,
+        })
+        dest = tmp_path / "never.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 3 and not dest.exists()
+        assert json.loads(err)["error"]["type"] == error
+
+    def test_numerical_failure_costs_no_simulation(self, capsys, tmp_path, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("sweep simulated a block that fails")
+        monkeypatch.setattr(simulator, "simulate_chain", no_simulation)
+        spec = self.write_spec(tmp_path, {
+            "protocol": "shs",
+            "varied_params": [{"name": "p", "start": 0.5, "stop": 0.0, "count": 2}],
+            "fixed_params": {"ps": 0.5, "steps": 10, "trajectories": 2},
+            "outputs": ["simulated_mean", "equilibrium"],
+        })
+        dest = tmp_path / "never.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 3 and not dest.exists()
+        assert json.loads(err)["error"]["type"] == "SingularSystemError"
+
+    def test_failure_in_a_later_block_exits_3(self, capsys, tmp_path, monkeypatch):
+        # p1 = 0, the last of five points, lies in the third block of two
+        monkeypatch.setattr(cli, "_BLOCK", 2)
+        spec = self.write_spec(tmp_path, {
+            "protocol": "multiherald",
+            "varied_params": [{"name": "p1", "start": 0.5, "stop": 0.0, "count": 5}],
+            "fixed_params": {"p2": 0.5}, "outputs": ["mean_latency"],
+        })
+        dest = tmp_path / "never.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 3 and not dest.exists()
+        assert json.loads(err)["error"]["type"] == "SingularMatrixError"
+
+    def test_block_size_leaves_the_csv_unchanged(self, capsys, tmp_path, monkeypatch):
+        dhs = self.write_spec(tmp_path, {
+            "protocol": "dhs",
+            "varied_params": [{"name": "pl", "start": 0.1, "stop": 0.9, "count": 5},
+                              {"name": "pr", "start": 0.2, "stop": 1.0, "count": 5}],
+            "fixed_params": {"ps": 0.8, "tau": 2.0, "horizon": 40},
+            "outputs": ["naive_var", "latency_std_over_mean", "equilibrium", "exact_var",
+                        "mean_latency"],
+        })
+        figure = str(FIGURES / "bkp_latency_spread.json")
+        for name, spec in (("dhs", dhs), ("figure", figure)):
+            outputs = []
+            for block in (cli._BLOCK, 3):
+                monkeypatch.setattr(cli, "_BLOCK", block)
+                dest = tmp_path / f"{name}-{block}.csv"
+                assert run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))[0] == 0
+                outputs.append(dest.read_bytes())
+            assert outputs[0] == outputs[1], name
 
     def test_zero_varied_params_gives_single_row(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, {
@@ -548,8 +631,7 @@ class TestFigureSpecs:
     """Every checked-in figure spec must parse as a valid sweep plan."""
 
     def test_specs_build_plans(self):
-        spec_dir = Path(__file__).resolve().parents[1] / "figures"
-        paths = sorted(spec_dir.glob("*.json"))
+        paths = sorted(FIGURES.glob("*.json"))
         assert len(paths) >= 10
         for path in paths:
             spec = json.loads(path.read_text())
@@ -558,9 +640,16 @@ class TestFigureSpecs:
             assert plan.outputs, path.name
 
     def test_nested_spec_declares_seed(self):
-        spec_dir = Path(__file__).resolve().parents[1] / "figures"
-        spec = json.loads((spec_dir / "nested_throughput_vs_estimates.json").read_text())
+        spec = json.loads((FIGURES / "nested_throughput_vs_estimates.json").read_text())
         assert "seed" in spec["fixed_params"]
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_DIGESTS))
+    def test_figure_csv(self, capsys, tmp_path, name):
+        dest = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--spec", str(FIGURES / f"{name}.json"),
+                             "--output", str(dest))
+        assert code == 0
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == FIGURE_DIGESTS[name]
 
 
 class TestImportCost:

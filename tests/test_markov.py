@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repeaterlab import markov
+from repeaterlab import markov, protocols
 from oracles import equilibrium_bruteforce, hitting_moments_bruteforce
 
 TWO_CYCLE = [[0.0, 1.0], [1.0, 0.0]]
@@ -23,6 +23,26 @@ def stochastic_rows(draw, min_n=1, max_n=6):
     # pin the exact row sum so validation never trips on round-off
     rows[:, -1] = 1.0 - rows[:, :-1].sum(axis=1)
     return rows.tolist()
+
+
+# a probability that is 0 or 1 about half the time
+edge_probs = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def same_shape_params(draw):
+    """1..6 params of one protocol and shape: multiherald n = 1..4, shs or dhs."""
+    kind = draw(st.sampled_from(["multiherald", "shs", "dhs"]))
+    rounds = {"multiherald": draw(st.integers(1, 4)), "shs": 1, "dhs": 2}[kind]
+
+    def probs():
+        return tuple(draw(edge_probs) for _ in range(rounds))
+
+    def one():
+        if kind == "multiherald":
+            return protocols.MultiHeraldParams(probs())
+        return protocols.TwoLinkParams(probs(), probs(), draw(edge_probs))
+    return [one() for _ in range(draw(st.integers(1, 6)))]
 
 
 class TestValidate:
@@ -149,3 +169,51 @@ class TestHitting:
         means, _ = markov.hitting_stats(m, target=0)
         ret = 1.0 + np.asarray(rows)[0] @ means  # means[0] is 0 at the target
         assert ret == pytest.approx(1.0 / pi[0], rel=1e-9)
+
+
+class TestStack:
+    """A stacked chain gives, bit for bit, what its points give one at a time."""
+
+    # a link that almost never succeeds overflows the inverse; hitting_stats
+    # then rejects the point, and numpy warns on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(same_shape_params())
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_calls_equal_one_point_calls(self, params):
+        stack = protocols.build_chain(params, 2.5)
+        chains = [protocols.build_chain(point, 2.5) for point in params]
+        for i, chain in enumerate(chains):
+            assert np.array_equal(stack.matrix.rows[i], chain.matrix.rows)
+        target = stack.success_state
+        solvers = ((lambda m: (markov.equilibrium(m),), markov.SingularSystemError),
+                   (lambda m: markov.hitting_stats(m, target), markov.SingularMatrixError))
+        for solve, error in solvers:
+            alone = {}
+            for i, chain in enumerate(chains):
+                try:
+                    alone[i] = solve(chain.matrix)
+                except error:
+                    pass  # no equilibrium, or success never reached
+            if len(alone) < len(chains):
+                with pytest.raises(error):
+                    solve(stack.matrix)
+            if alone:
+                together = solve(protocols.build_chain([params[i] for i in alone]).matrix)
+                for j, want in enumerate(alone.values()):
+                    for got_all, want_one in zip(together, want):
+                        assert np.array_equal(got_all[j], want_one)
+
+    def test_one_bad_point_fails_the_stack(self):
+        good, dead = BKP_HALF, [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]
+        stack = markov.validate([good, dead])
+        assert stack.n == 3
+        with pytest.raises(markov.SingularMatrixError):
+            markov.hitting_stats(stack, target=2)
+        with pytest.raises(markov.SingularSystemError):
+            markov.equilibrium(markov.validate([LAZY_TWO, [[1.0, 0.0], [0.0, 1.0]]]))
+        with pytest.raises(markov.RowSumError) as err:
+            markov.validate([LAZY_TWO, [[0.5, 0.5], [0.6, 0.6]]])
+        assert err.value.row == 1
+        with pytest.raises(markov.EntryRangeError) as err:
+            markov.validate([LAZY_TWO, [[0.5, 0.5], [1.5, -0.5]]])
+        assert (err.value.row, err.value.col) == (1, 0)
