@@ -18,16 +18,29 @@ step; mean_latency is in time units; latency_std_over_mean has no unit;
 naive_var and exact_var are variances of the per-time-unit rate over horizon
 steps. compare reports rates per step; analyze reports throughput per time
 unit and latency in time units.
+
+A sweep is columnar from spec to CSV. _SweepPlan builds the grid once, as a
+(points x varied) array in itertools.product order, and from it one float
+column per protocol slot (aliases and fixed values resolved once). It checks
+every column at once; if a point fails, the first failing point is rebuilt
+through its own check (the params constructor, or _nested_point), so the
+error is the one that point raises alone. Each block of points then builds
+one stacked chain from slices of those columns, with no params object per
+point, and the CSV rows come from one float table per block. compare and
+simulate evaluate a one-row block the same way. The argparse parser is built
+on the first main call and reused by later calls in the same process.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import os
 import sys
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,13 +72,6 @@ class NumericalOutputError(Exception):
 
 
 # ---------------------------------------------------------------- helpers
-
-def _fmt(value) -> str:
-    v = float(value)
-    if not math.isfinite(v):
-        raise NumericalOutputError(f"non-finite value {v!r} in output")
-    return f"{v:.17g}"
-
 
 def _assert_finite_tree(obj, path="report"):
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -206,33 +212,28 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# ------------------------------------------------------- points and metrics
-
-class _Point:
-    """One target: chain params with their tau, or a nested level k and link p."""
-
-    def __init__(self, params=None, tau=None, k=None, p=None):
-        self.params, self.k, self.p = params, k, p
-        self.tau = 1.0 if tau is None else tau
-        self.protocol = "nested" if params is None else protocols.protocol_name(params)
-
+# ------------------------------------------------------- blocks and metrics
 
 class _Block:
     """Targets of one protocol and one tau, evaluated together.
 
-    The chain targets share one chain that stacks theirs on a leading axis;
-    it and its latency estimate are built once each, on first use.
+    A chain block holds one row of slot values per target, an array of
+    shape (targets, slots) with the slots in the protocol's order (see
+    _PROTOCOLS); its stacked chain and the chain's latency estimate are
+    built once each, on first use. A nested block holds (k, p) pairs.
     """
 
-    def __init__(self, points: list[_Point]):
-        self.points = points
+    def __init__(self, protocol: str, rows, tau: float = 1.0):
+        self.protocol, self.rows, self.tau = protocol, rows, tau
         self._chain = self._latency = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
     @property
     def chain(self) -> protocols.ProtocolChain:
         if self._chain is None:
-            self._chain = protocols.build_chain([pt.params for pt in self.points],
-                                                self.points[0].tau)
+            self._chain = _PROTOCOLS[self.protocol].chain(self.rows, self.tau)
         return self._chain
 
     @property
@@ -242,9 +243,8 @@ class _Block:
         return self._latency
 
     def simulate(self, i: int, config: simulator.SimConfig) -> simulator.SimulationResult:
-        point = self.points[i]
-        if point.params is None:
-            return simulator.simulate_nested(point.k, point.p, config)
+        if self.protocol == "nested":
+            return simulator.simulate_nested(*self.rows[i], config)
         return simulator.simulate_chain(self.chain.point(i), config)
 
 
@@ -252,7 +252,11 @@ def _exact_var(block: _Block, plan) -> list[float]:
     # the rate checks of naive_var first, from the block's one equilibrium solve
     estimators.estimate_throughput(block.chain, plan.horizon)
     return [estimators.exact_throughput_variance(block.chain.point(i), plan.horizon)
-            for i in range(len(block.points))]
+            for i in range(len(block))]
+
+
+def _nested(method: str):
+    return lambda b, plan: [estimators.nested_throughput(p, k, method).rate for k, p in b.rows]
 
 
 # metric -> (the sweep protocols it applies to, its values at a block b given
@@ -270,13 +274,24 @@ _METRICS = {
     "naive_var": (_CHAIN, lambda b, plan: estimators.estimate_throughput(
         b.chain, plan.horizon).naive_variance, None),
     "exact_var": (_CHAIN, _exact_var, None),
-    "nested_type1": (("nested",), lambda b, plan: [estimators.nested_throughput(
-        pt.p, pt.k, "type1").rate for pt in b.points], "nested_type1_rate"),
-    "nested_type2": (("nested",), lambda b, plan: [estimators.nested_throughput(
-        pt.p, pt.k, "type2").rate for pt in b.points], "nested_type2_rate"),
+    "nested_type1": (("nested",), _nested("type1"), "nested_type1_rate"),
+    "nested_type2": (("nested",), _nested("type2"), "nested_type2_rate"),
     "simulated_mean": ((*_CHAIN, "nested"), lambda b, plan: [
-        b.simulate(i, plan.sim_config).mean_throughput for i in range(len(b.points))], None),
+        b.simulate(i, plan.sim_config).mean_throughput for i in range(len(b))], None),
 }
+
+
+def _csv_lines(table: np.ndarray) -> list[str]:
+    """One CSV line per row of a float table, each cell as '%.17g'.
+
+    Raises:
+        NumericalOutputError: at the first non-finite cell in row-major order.
+    """
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        raise NumericalOutputError(f"non-finite value {float(table[tuple(bad[0])])!r} in output")
+    template = ",".join(["%.17g"] * table.shape[1])
+    return [template % tuple(row) for row in table.tolist()]
 
 
 # ------------------------------------------------------------------- sweep
@@ -307,37 +322,79 @@ def _multiherald_aliases(prob_names, fixed):
     return {f"p{i}": (f"p{i}",) for i in range(1, n + 1)}
 
 
-def _nested_point(slots, tau) -> _Point:
+def _nested_point(row, tau) -> None:
+    """Check one nested grid point, row = (k, p), and fixed_params' tau (None if unset)."""
     if tau is not None:
         raise CliValidationError("fixed_params 'tau' does not apply to protocol 'nested'")
-    k, p = slots["k"], slots["p"]
+    k, p = row
     if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
         raise CliValidationError(f"nesting level k must be an integer, got {k!r}")
-    k = int(round(k))
-    estimators.check_nested(k, p)
-    return _Point(k=k, p=p)
+    estimators.check_nested(int(round(k)), p)
 
 
-# sweep protocol -> (its parameter aliases, name -> the slots it sets, or a
-# function of (names, fixed_params) giving them; a function of the slot values
-# and fixed_params' tau (None if unset) giving the validated point)
+def _nested_bad(rows: np.ndarray, tau) -> np.ndarray:
+    """The grid points _nested_point rejects, as a mask."""
+    k, p = rows[:, 0], rows[:, 1]
+    with np.errstate(invalid="ignore"):
+        level = np.rint(k)
+        integral = np.isfinite(k) & (np.abs(k - level) <= 1e-9)
+    in_range = (1 <= level) & (level <= estimators.MAX_NESTED_K) & (0.0 < p) & (p <= 1.0)
+    return np.full(len(rows), tau is not None) | ~(integral & in_range)
+
+
+def _probability_bad(rows: np.ndarray, tau) -> np.ndarray:
+    """The grid points whose params constructor rejects a slot: not in [0, 1] (NaN included)."""
+    return ~((0.0 <= rows) & (rows <= 1.0)).all(axis=-1)
+
+
+def _two_link_params(row) -> protocols.TwoLinkParams:
+    r = len(row) // 2
+    return protocols.TwoLinkParams(tuple(row[:r]), tuple(row[r:2 * r]), row[-1])
+
+
+def _two_link_chain(rows: np.ndarray, tau: float) -> protocols.ProtocolChain:
+    r = rows.shape[-1] // 2
+    return protocols.two_link_chain(rows[:, :r], rows[:, r:2 * r], rows[:, -1], tau)
+
+
+class _Protocol(NamedTuple):
+    """A sweep protocol's parameters and how its grid points are checked and built."""
+
+    # parameter name -> the slots it sets, or a function of (names, fixed_params)
+    # giving that; the slots' order of first appearance is the column order of rows
+    aliases: dict | Callable
+    # (rows, fixed_params' tau or None) -> mask of the points that point() rejects
+    bad: Callable
+    # (one row as floats, tau) -> that point's own check: the params constructor
+    point: Callable
+    # (rows, tau) -> one stacked chain; None for nested
+    chain: Callable | None
+
+
 _PROTOCOLS = {
-    "multiherald": (_multiherald_aliases, lambda slots, tau: _Point(protocols.MultiHeraldParams(
-        tuple(slots[f"p{i}"] for i in range(1, len(slots) + 1))), tau)),
-    "shs": ({"pl": ("pl",), "pr": ("pr",), "ps": ("ps",), "p": ("pl", "pr")},
-            lambda slots, tau: _Point(protocols.TwoLinkParams(
-                (slots["pl"],), (slots["pr"],), slots["ps"]), tau)),
-    "dhs": ({"pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",), "ps": ("ps",),
-             "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"), "pl": ("pl1", "pl2"),
-             "pr": ("pr1", "pr2"), "p": ("pl1", "pl2", "pr1", "pr2")},
-            lambda slots, tau: _Point(protocols.TwoLinkParams(
-                (slots["pl1"], slots["pl2"]), (slots["pr1"], slots["pr2"]), slots["ps"]), tau)),
-    "nested": ({"p": ("p",), "k": ("k",)}, _nested_point),
+    "multiherald": _Protocol(
+        _multiherald_aliases, _probability_bad,
+        lambda row, tau: protocols.MultiHeraldParams(tuple(row)),
+        protocols.multiheralded_chain),
+    "shs": _Protocol(
+        {"pl": ("pl",), "pr": ("pr",), "ps": ("ps",), "p": ("pl", "pr")},
+        _probability_bad, lambda row, tau: _two_link_params(row), _two_link_chain),
+    "dhs": _Protocol(
+        {"pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",), "ps": ("ps",),
+         "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"), "pl": ("pl1", "pl2"),
+         "pr": ("pr1", "pr2"), "p": ("pl1", "pl2", "pr1", "pr2")},
+        _probability_bad, lambda row, tau: _two_link_params(row), _two_link_chain),
+    "nested": _Protocol({"k": ("k",), "p": ("p",)}, _nested_bad, _nested_point, None),
 }
 
 
 class _SweepPlan:
-    """Validated sweep: grid axes, slot resolution and every grid point."""
+    """Validated sweep: the grid, one row of slot values per grid point, run settings.
+
+    grid has shape (points, varied), in itertools.product order of the
+    varied axes. rows holds the targets of _Block: for a chain protocol an
+    array of shape (points, slots), for nested a list of (k, p).
+    """
 
     def __init__(self, spec: dict):
         allowed_keys = {"protocol", "varied_params", "fixed_params", "outputs", "description"}
@@ -379,12 +436,13 @@ class _SweepPlan:
                 raise CliValidationError(f"non-finite grid bounds for {name!r}")
             self.varied.append((name, np.linspace(start, stop, count)))
 
-        self.fixed_probs = {k: v for k, v in fixed.items() if k not in _RESERVED_FIXED}
-        prob_names = [name for name, _ in self.varied] + list(self.fixed_probs)
+        fixed_probs = {k: v for k, v in fixed.items() if k not in _RESERVED_FIXED}
+        prob_names = [name for name, _ in self.varied] + list(fixed_probs)
         if len(set(prob_names)) != len(prob_names):
             raise CliValidationError("a parameter name appears more than once")
 
-        aliases, build = _PROTOCOLS[self.protocol]
+        protocol = _PROTOCOLS[self.protocol]
+        aliases = protocol.aliases
         if callable(aliases):
             aliases = aliases(prob_names, fixed)
         elif "n" in fixed:
@@ -401,7 +459,6 @@ class _SweepPlan:
                     raise CliValidationError(
                         f"parameters {slot_owner[slot]!r} and {name!r} both set {slot!r}")
                 slot_owner[slot] = name
-        self.aliases = aliases
         uncovered = set().union(*aliases.values()) - set(slot_owner)
         if uncovered:
             raise CliValidationError(f"parameters not set: {sorted(uncovered)}")
@@ -423,18 +480,32 @@ class _SweepPlan:
                     "fixed_params.trajectories", fixed.get("trajectories", 1_000), 1),
             )
 
-        # every point is checked before any is evaluated, so a bad point late
-        # in the grid fails the run before earlier points are simulated
         tau = float(fixed["tau"]) if "tau" in fixed else None
-        self.points = [(combo, build(self.slots_for(combo), tau)) for combo in self.grid()]
+        # column j repeats each value of axis j once per point of the later
+        # axes, and the whole axis once per point of the earlier ones
+        sizes = [len(axis) for _, axis in self.varied]
+        self.grid = np.empty((math.prod(sizes), len(sizes)))
+        for j, (_, axis) in enumerate(self.varied):
+            self.grid[:, j] = np.tile(np.repeat(axis, math.prod(sizes[j + 1:])),
+                                      math.prod(sizes[:j]))
+        values = {name: column for (name, _), column in zip(self.varied, self.grid.T)}
+        values.update({name: float(value) for name, value in fixed_probs.items()})
+        slots = list(dict.fromkeys(itertools.chain(*aliases.values())))
+        rows = np.empty((len(self.grid), len(slots)))
+        for name, value in values.items():
+            for slot in aliases[name]:
+                rows[:, slots.index(slot)] = value
 
-    def grid(self):
-        return list(itertools.product(*[axis for _, axis in self.varied]))
-
-    def slots_for(self, combo) -> dict:
-        named = zip([name for name, _ in self.varied], combo)
-        return {slot: float(value) for name, value in (*named, *self.fixed_probs.items())
-                for slot in self.aliases[name]}
+        # every point is checked before any is evaluated, so a bad point late
+        # in the grid fails the run before earlier points are simulated; the
+        # first bad point raises its own error through the per-point check
+        bad = np.flatnonzero(protocol.bad(rows, tau))
+        if bad.size:
+            protocol.point(rows[bad[0]].tolist(), tau)
+            raise AssertionError(f"grid point {bad[0]} failed no per-point check")
+        self.tau = 1.0 if tau is None else tau
+        self.rows = rows if protocol.chain else list(zip(
+            np.rint(rows[:, 0]).astype(int).tolist(), rows[:, 1].tolist()))
 
 
 # a sweep evaluates its points in blocks of at most this many, so the stacked
@@ -450,22 +521,32 @@ def cmd_sweep(args) -> int:
     plan = _SweepPlan(spec)
     header = [name for name, _ in plan.varied] + list(plan.outputs)
     lines = [",".join(header)]
-    for start in range(0, len(plan.points), _BLOCK):
-        rows = plan.points[start:start + _BLOCK]
-        block = _Block([point for _, point in rows])
+    for start in range(0, len(plan.grid), _BLOCK):
+        block = _Block(plan.protocol, plan.rows[start:start + _BLOCK], plan.tau)
         # simulation last: a numerical failure anywhere in the block then costs none
         columns = {metric: _METRICS[metric][1](block, plan)
                    for metric in sorted(plan.outputs, key=lambda m: m == "simulated_mean")}
-        for (combo, _), *values in zip(rows, *[columns[metric] for metric in plan.outputs]):
-            lines.append(",".join([_fmt(v) for v in combo] + [_fmt(v) for v in values]))
+        lines += _csv_lines(np.column_stack(
+            [plan.grid[start:start + _BLOCK]]
+            + [np.asarray(columns[metric], dtype=float) for metric in plan.outputs]))
     _atomic_write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 # -------------------------------------------------------- simulate/compare
 
-def _sim_point(args) -> _Point:
-    """The point a simulate/compare command line names."""
+def _params_row(params) -> np.ndarray:
+    """One params object as the one-row slot array of a chain block."""
+    if isinstance(params, protocols.MultiHeraldParams):
+        return np.array([params.round_probs])
+    return np.array([params.left_probs + params.right_probs + (params.swap_prob,)])
+
+
+def _sim_target(args):
+    """The one-target block a simulate/compare command line names, and its params.
+
+    The params are None for the nested protocol.
+    """
     if args.nested:
         chain_flags = _given(args, _CHAIN_FLAGS)
         if chain_flags:
@@ -473,11 +554,12 @@ def _sim_point(args) -> _Point:
                 f"--nested conflicts with protocol chain flags {', '.join(chain_flags)}")
         if args.k is None or args.p is None:
             raise CliValidationError("--nested requires --k and --p")
-        return _Point(k=args.k, p=args.p)
+        return _Block("nested", [(args.k, args.p)]), None
     nested_flags = _given(args, ("--k", "--p"))
     if nested_flags:
         raise CliValidationError(f"{', '.join(nested_flags)} require --nested")
-    return _Point(*_params_from_args(args))
+    params, tau = _params_from_args(args)
+    return _Block(protocols.protocol_name(params), _params_row(params), tau), params
 
 
 def _sim_config_from_args(args) -> simulator.SimConfig:
@@ -489,13 +571,14 @@ def _sim_config_from_args(args) -> simulator.SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    point = _sim_point(args)
-    if point.params is None:
-        target = {"kind": "nested", "k": point.k, "p": point.p}
+    block, params = _sim_target(args)
+    if params is None:
+        k, p = block.rows[0]
+        target = {"kind": "nested", "k": k, "p": p}
     else:
-        target = {"kind": "chain", "protocol": point.protocol,
-                  "params": json.loads(protocols.params_to_json(point.params, point.tau))}
-    result = _Block([point]).simulate(0, _sim_config_from_args(args))
+        target = {"kind": "chain", "protocol": block.protocol,
+                  "params": json.loads(protocols.params_to_json(params, block.tau))}
+    result = block.simulate(0, _sim_config_from_args(args))
     if args.csv_out is not None:
         lines = ["trajectory_index,success_count"]
         lines += [f"{i},{count}" for i, count in enumerate(result.success_counts)]
@@ -522,12 +605,11 @@ def cmd_compare(args) -> int:
     if args.trajectories < 2:
         raise CliValidationError(
             f"compare needs --trajectories >= 2 for a standard error, got {args.trajectories}")
-    point = _sim_point(args)
-    block = _Block([point])
+    block, _ = _sim_target(args)
     # the analytical side first: a numerical failure there costs no simulation;
     # compare rows read no sweep settings, so they get no plan
     analytical = [(row, value(block, None)[0]) for applies, value, row in _METRICS.values()
-                  if row is not None and point.protocol in applies]
+                  if row is not None and block.protocol in applies]
     result = block.simulate(0, _sim_config_from_args(args))
     simulated = result.mean_throughput
     err = result.std_error()
@@ -541,9 +623,9 @@ def cmd_compare(args) -> int:
                 "zero standard error with nonzero analytical-simulated gap")
         return gap / err
 
+    table = np.array([[rate, simulated, err, sigma(rate)] for _, rate in analytical])
     lines = ["quantity,analytical,simulated,std_error,sigma_distance"]
-    for quantity, rate in analytical:
-        lines.append(",".join([quantity] + [_fmt(v) for v in (rate, simulated, err, sigma(rate))]))
+    lines += [f"{quantity},{line}" for (quantity, _), line in zip(analytical, _csv_lines(table))]
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 
@@ -581,7 +663,9 @@ def _add_sim_flags(parser: argparse.ArgumentParser):
                        help="RNG seed; drawn from OS entropy and echoed if omitted")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="repeaterlab",
         description="Analytical and Monte Carlo statistics for repeater-chain "

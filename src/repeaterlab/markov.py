@@ -161,10 +161,14 @@ def hitting_stats(matrix: StochasticMatrix, target: int) -> tuple[np.ndarray, np
     if keep and not np.abs(a @ fund - np.eye(n - 1)).max() <= 1e-10:
         raise SingularMatrixError(f"inverse of I - Q inaccurate for target {target}")
     t = fund @ np.ones(n - 1)
-    var = ((2.0 * fund - np.eye(n - 1)) @ t[..., None])[..., 0] - t * t
+    # an overflow here turns into NaN, which the check below rejects, so
+    # numpy's warnings about it would only repeat the error
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = ((2.0 * fund - np.eye(n - 1)) @ t[..., None])[..., 0] - t * t
     if keep and not var.min() >= -1e-9:
         raise SingularMatrixError(
-            f"hitting variance came out negative or NaN ({var.min()!r}); ill-conditioned chain")
+            f"hitting variance came out negative or NaN ({float(var.min())!r}); "
+            "ill-conditioned chain")
     means, variances = np.zeros(rows.shape[:-1]), np.zeros(rows.shape[:-1])
     means[..., keep], variances[..., keep] = t, var
     return _readonly(means), _readonly(variances)

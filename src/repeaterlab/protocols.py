@@ -13,10 +13,15 @@ protocol phases with a designated failure (restart) state and success state:
 * dhs: same two-link layout, but each link needs two heralding rounds; states
   label per-link round progress (0, 1, or 2 = pair ready).
 
-One builder, build_two_link, makes both two-link chains from the round count.
-Every builder also takes a sequence of same-shape params and returns one
-chain whose matrix stacks the points' matrices on a leading axis, so a sweep
-solves all of its points together (see markov).
+One builder, two_link_chain, makes both two-link chains from the round count.
+The builders work on probability arrays: multiheralded_chain and
+two_link_chain take arrays with an optional leading stack axis and return
+one chain whose matrix stacks the points' matrices on it, so a sweep builds
+and solves all of its points together (see markov) with no params object per
+point. build_multiheralded, build_two_link and build_chain are the
+params-object entries: they check one params object (or a sequence of
+same-shape ones) in its constructor and pass its fields to the array
+builders.
 
 The success-state row always equals the failure-state row: after delivering
 a pair the protocol restarts exactly as after a failure. Closed-form results
@@ -184,35 +189,43 @@ def _round_rows(probs: np.ndarray) -> np.ndarray:
     return rows
 
 
-def build_multiheralded(params, tau: float = 1.0) -> ProtocolChain:
-    """Chain for an n-round heralded link: states 0..n, success at n.
+def multiheralded_chain(round_probs, tau: float = 1.0) -> ProtocolChain:
+    """Chain for an n-round heralded link from round probabilities of shape (..., n).
 
-    Row i < n moves to i+1 with probability p_{i+1} and back to 0 otherwise;
-    the success row repeats row 0 (the protocol restarts). params is one
-    MultiHeraldParams or a sequence of them with one n (a stacked chain).
+    States 0..n, success at n. Row i < n moves to i+1 with probability
+    p_{i+1} and back to 0 otherwise; the success row repeats row 0 (the
+    protocol restarts). A leading stack axis gives a stacked chain. The
+    probabilities are not range-checked here: markov.validate rejects an
+    entry outside [0, 1].
     """
-    rows = _round_rows(_probs(params, "round_probs"))
+    rows = _round_rows(np.asarray(round_probs, dtype=float))
     n = rows.shape[-1] - 1
     rows[..., n, :] = rows[..., 0, :]
     labels = tuple(str(i) for i in range(n + 1))
     return ProtocolChain(markov.validate(rows), labels, 0, n, float(tau))
 
 
-def build_two_link(params, tau: float = 1.0) -> ProtocolChain:
+def build_multiheralded(params, tau: float = 1.0) -> ProtocolChain:
+    """multiheralded_chain of one MultiHeraldParams, or of a sequence of them with one n."""
+    return multiheralded_chain(_probs(params, "round_probs"), tau)
+
+
+def two_link_chain(left_probs, right_probs, swap_prob, tau: float = 1.0) -> ProtocolChain:
     """Two r-round heralded links plus one swap: states ij for i, j in 0..r, then S.
 
-    Label "ij" gives the rounds passed on the left (i) and right (j) link;
-    r means the link holds a pair. State ij has index i*(r+1)+j and S comes
-    last. A link that has passed i < r rounds passes the next one with that
-    round's probability or drops back to 0 rounds; ready links wait. From rr
-    the swap succeeds with swap_prob (to S) or destroys both pairs (to 00).
-    The shs scheme is r = 1 (states 00, 01, 10, 11, S), the dhs scheme r = 2.
-    params is one TwoLinkParams or a sequence of them with one r (a stacked
-    chain).
+    left_probs and right_probs have shape (..., r), swap_prob shape (...);
+    a leading stack axis gives a stacked chain. Label "ij" gives the rounds
+    passed on the left (i) and right (j) link; r means the link holds a
+    pair. State ij has index i*(r+1)+j and S comes last. A link that has
+    passed i < r rounds passes the next one with that round's probability
+    or drops back to 0 rounds; ready links wait. From rr the swap succeeds
+    with swap_prob (to S) or destroys both pairs (to 00). The shs scheme is
+    r = 1 (states 00, 01, 10, 11, S), the dhs scheme r = 2. As in
+    multiheralded_chain, markov.validate is the only range check.
     """
-    left = _round_rows(_probs(params, "left_probs"))
-    right = _round_rows(_probs(params, "right_probs"))
-    swap = _probs(params, "swap_prob")
+    left = _round_rows(np.asarray(left_probs, dtype=float))
+    right = _round_rows(np.asarray(right_probs, dtype=float))
+    swap = np.asarray(swap_prob, dtype=float)
     r = left.shape[-1] - 1
     width = r + 1
     ready = width * width - 1  # index of rr; S is ready + 1
@@ -228,6 +241,12 @@ def build_two_link(params, tau: float = 1.0) -> ProtocolChain:
     rows[..., -1, :] = rows[..., 0, :]
     labels = tuple(f"{i}{j}" for i in range(width) for j in range(width)) + ("S",)
     return ProtocolChain(markov.validate(rows), labels, 0, ready + 1, float(tau))
+
+
+def build_two_link(params, tau: float = 1.0) -> ProtocolChain:
+    """two_link_chain of one TwoLinkParams, or of a sequence of them with one r."""
+    return two_link_chain(_probs(params, "left_probs"), _probs(params, "right_probs"),
+                          _probs(params, "swap_prob"), tau)
 
 
 def cf_equilibrium_multiheralded(params: MultiHeraldParams) -> float:

@@ -36,7 +36,7 @@ from .protocols import ProtocolChain
 RNG_ALGORITHM = "philox"  # the bit generator of every trajectory stream
 _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 1000 is one
 _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the draw and bucket
-                      # arrays (about 17 bytes per draw in the walker), not the results
+                      # arrays (16 bytes per draw in the walker), not the results
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
 MAX_TRAJECTORIES = 2**32  # spawn keys are one 32-bit word, as _spawn_keys assumes
 
@@ -160,9 +160,8 @@ def _batches(total: int) -> list[range]:
     return [range(lo, min(lo + _BATCH, total)) for lo in range(0, total, _BATCH)]
 
 
-def _draw(gens, shape: tuple) -> np.ndarray:
-    """The next block of uniforms of each generator, stacked along axis 0."""
-    out = np.empty((len(gens), *shape))
+def _draw(gens, out: np.ndarray) -> np.ndarray:
+    """Fill out[i] with the next block of uniforms of generator i; returns out."""
     for g, block in zip(gens, out):
         g.random(out=block)
     return out
@@ -215,21 +214,30 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> SimulationResult:
     cell_split = np.searchsorted(edges, grid[1:], side="left") != below[:-1]
     steps = config.steps_per_trajectory
 
-    def walk_chunk(gens, csize: int, states: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        uniforms = _draw(gens, (csize,))
+    def walk_chunk(gens, csize: int, states: np.ndarray, counts: np.ndarray,
+                   draw_buf: np.ndarray, cell_buf: np.ndarray) -> np.ndarray:
+        size = csize * len(gens)
+        uniforms = _draw(gens, draw_buf[:size].reshape(len(gens), csize))
         # table offsets bucket * n in (step, trajectory) layout, so that each
         # step reads one contiguous row
-        cells = np.empty((csize, len(gens)), dtype=np.intp)
+        cells = cell_buf[:size].reshape(csize, len(gens))
         np.multiply(uniforms.T, _CELLS, out=cells, casting="unsafe")  # floor(u * _CELLS)
         split = np.flatnonzero(cell_split.take(cells))
         exact = np.searchsorted(edges, uniforms.T.flat[split], side="right") * n
-        del uniforms  # free the draws before the offsets are allocated
-        offsets = cell_offset.take(cells)
+        # the draws are spent: their buffer takes the offsets. Every index
+        # below is in range (a cell is below _CELLS, an offset below
+        # len(successor)), so mode="clip" clips nothing; it only spares take
+        # the temporary copy it makes for out= in its default mode
+        offsets = draw_buf.view(np.intp)[:size].reshape(csize, len(gens))
+        cell_offset.take(cells, out=offsets, mode="clip")
         offsets.flat[split] = exact
         for index in offsets:
             index += states
             states = successor.take(index)
-        counts += np.count_nonzero(hits.take(offsets), axis=0)
+        # the cells are spent too: their buffer takes the success flags
+        hit = hits.take(offsets, out=cell_buf.view(bool)[:size].reshape(csize, len(gens)),
+                        mode="clip")
+        counts += np.count_nonzero(hit, axis=0)
         return states
 
     def run_batch(batch: range) -> np.ndarray:
@@ -237,8 +245,14 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> SimulationResult:
         chunk = max(1, _CHUNK_DRAWS // len(gens))
         states = np.full(len(gens), chain.start_state, dtype=np.intp)
         counts = np.zeros(len(gens), dtype=np.int64)
+        # two chunk buffers per batch, reused by every chunk: fresh
+        # multi-megabyte arrays per chunk cost the walker a page fault per
+        # page each time the allocator hands them back to the system
+        size = min(chunk, steps) * len(gens)
+        draw_buf, cell_buf = np.empty(size), np.empty(size, dtype=np.intp)
         for done in range(0, steps, chunk):
-            states = walk_chunk(gens, min(chunk, steps - done), states, counts)
+            states = walk_chunk(gens, min(chunk, steps - done), states, counts,
+                                draw_buf, cell_buf)
         return counts
 
     t0 = time.perf_counter()
@@ -252,7 +266,7 @@ def _next_successes(gens, csize: int, leaves: int, p: float) -> np.ndarray:
     nxt[b, t, l] is the first step >= t of the chunk, counted from its
     start, at which link l of trajectory b succeeds, or csize if none does.
     """
-    hit = _draw(gens, (csize, leaves)) < p
+    hit = _draw(gens, np.empty((len(gens), csize, leaves))) < p
     # t where link l succeeds at step t, else csize
     nxt = hit * (np.arange(csize, dtype=np.int32) - np.int32(csize))[:, None]
     del hit

@@ -1,14 +1,18 @@
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repeaterlab import cli, markov, protocols, simulator
+from repeaterlab import cli, estimators, markov, protocols, simulator
 from repeaterlab.cli import main
 
 
@@ -183,6 +187,19 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--nope"])
         assert exc.value.code == 2
+
+    def test_overflowing_variance_gives_one_json_line(self):
+        # at p1 = 5e-177 the hitting variance overflows to NaN: stderr carries
+        # the error object alone, with no numpy warning ahead of it
+        proc = subprocess.run([sys.executable, "-m", "repeaterlab", "analyze",
+                               "--protocol", "multiherald", "--probs", "5e-177,0.5"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "SingularMatrixError"
+        assert "(nan)" in error["message"]
 
 
 class TestSimulate:
@@ -421,6 +438,72 @@ class TestSweep:
         assert code == 2 and not dest.exists()
         assert json.loads(err)["error"]["category"] == "validation"
 
+    @pytest.mark.parametrize("payload, point", [
+        # the first bad point is the third of six: p1 = 0.3, p2 = 1.2
+        ({"protocol": "multiherald",
+          "varied_params": [{"name": "p1", "start": 0.3, "stop": 0.6, "count": 2},
+                            {"name": "p2", "start": 0.2, "stop": 1.2, "count": 3}],
+          "outputs": ["equilibrium"]},
+         lambda: protocols.MultiHeraldParams((0.3, float(np.linspace(0.2, 1.2, 3)[2])))),
+        ({"protocol": "shs",
+          "varied_params": [{"name": "p", "start": 0.5, "stop": 1.5, "count": 3}],
+          "fixed_params": {"ps": 1.0}, "outputs": ["equilibrium"]},
+         lambda: protocols.TwoLinkParams((1.5,), (1.5,), 1.0)),
+        ({"protocol": "dhs",
+          "varied_params": [{"name": "p2", "start": 0.5, "stop": 1.25, "count": 4}],
+          "fixed_params": {"p1": 0.5, "ps": 0.9}, "outputs": ["mean_latency"]},
+         lambda: protocols.TwoLinkParams((0.5, 1.25), (0.5, 1.25), 0.9)),
+        ({"protocol": "dhs",
+          "varied_params": [{"name": "pl", "start": 0.2, "stop": 0.4, "count": 2}],
+          "fixed_params": {"pr": 0.5, "ps": float("nan")}, "outputs": ["equilibrium"]},
+         lambda: protocols.TwoLinkParams((0.2, 0.2), (0.5, 0.5), float("nan"))),
+        ({"protocol": "nested",
+          "varied_params": [{"name": "p", "start": 0.2, "stop": 0.4, "count": 2},
+                            {"name": "k", "start": 1, "stop": 13, "count": 3}],
+          "outputs": ["nested_type1"]},
+         lambda: estimators.check_nested(13, 0.2)),
+        ({"protocol": "nested",
+          "varied_params": [{"name": "p", "start": 0.5, "stop": 1.5, "count": 3}],
+          "fixed_params": {"k": 2}, "outputs": ["nested_type2"]},
+         lambda: estimators.check_nested(2, 1.5)),
+        ({"protocol": "shs",
+          "varied_params": [{"name": "p", "start": 0.5, "stop": 0.6, "count": 2}],
+          "fixed_params": {"ps": "abc"}, "outputs": ["equilibrium"]},
+         lambda: float("abc")),
+        ({"protocol": "multiherald",
+          "varied_params": [{"name": "p1", "start": 0.5, "stop": 0.6, "count": 2}],
+          "fixed_params": {"p2": [0.5]}, "outputs": ["equilibrium"]},
+         lambda: float([0.5])),
+    ], ids=["multiherald", "shs", "dhs", "dhs-fixed-nan", "nested-k", "nested-p",
+            "fixed-string", "fixed-list"])
+    def test_bad_point_raises_its_own_error(self, capsys, tmp_path, payload, point):
+        # the sweep reports the first bad grid point's error exactly as that
+        # point's own check raises it
+        with pytest.raises(Exception) as own:
+            point()
+        spec = self.write_spec(tmp_path, payload)
+        dest = tmp_path / "never.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 2 and not dest.exists()
+        error = json.loads(err)["error"]
+        assert (error["type"], error["message"]) == (type(own.value).__name__, str(own.value))
+
+    def test_non_finite_cell_exits_3(self, capsys, tmp_path):
+        # tau^2 underflows to 0, so naive_var divides by zero
+        spec = self.write_spec(tmp_path, {
+            "protocol": "shs",
+            "varied_params": [{"name": "p", "start": 0.5, "stop": 0.7, "count": 2}],
+            "fixed_params": {"ps": 1.0, "tau": 1e-200, "horizon": 100},
+            "outputs": ["equilibrium", "naive_var", "mean_latency"],
+        })
+        dest = tmp_path / "never.csv"
+        with np.errstate(divide="ignore"):
+            code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 3 and not dest.exists()
+        error = json.loads(err)["error"]
+        assert error["type"] == "NumericalOutputError"
+        assert error["message"] == "non-finite value inf in output"
+
     def test_underflowing_nested_rate_exits_3(self, capsys, tmp_path):
         # at 1e-200, p^2 underflows to 0, so the level-one closed form divides
         # 0 by 0; at 1e-150 the level-one rate itself underflows to 0
@@ -636,7 +719,7 @@ class TestFigureSpecs:
         for path in paths:
             spec = json.loads(path.read_text())
             plan = cli._SweepPlan(spec)
-            assert plan.grid(), path.name
+            assert len(plan.grid), path.name
             assert plan.outputs, path.name
 
     def test_nested_spec_declares_seed(self):
@@ -650,6 +733,152 @@ class TestFigureSpecs:
                              "--output", str(dest))
         assert code == 0
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == FIGURE_DIGESTS[name]
+
+
+# sweep parameter name -> the params slots it sets, written out per protocol
+# apart from cli._PROTOCOLS, as the oracle of the alias property below
+ALIAS_SLOTS = {
+    "shs": {"pl": ("pl",), "pr": ("pr",), "ps": ("ps",), "p": ("pl", "pr")},
+    "dhs": {"pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",),
+            "ps": ("ps",), "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"),
+            "pl": ("pl1", "pl2"), "pr": ("pr1", "pr2"), "p": ("pl1", "pl2", "pr1", "pr2")},
+}
+# sets of names that cover every slot exactly once
+ALIAS_LAYOUTS = {
+    "shs": [("pl", "pr", "ps"), ("p", "ps")],
+    "dhs": [("pl1", "pl2", "pr1", "pr2", "ps"), ("p1", "p2", "ps"), ("pl", "pr", "ps"),
+            ("p", "ps"), ("p1", "pl2", "pr2", "ps"), ("pl1", "pr1", "p2", "ps")],
+}
+SWEEP_PROBS = st.floats(0.05, 1.0)
+
+
+@st.composite
+def alias_sweeps(draw):
+    """A small sweep spec over any chain protocol and alias layout, with its alias map."""
+    protocol = draw(st.sampled_from(["multiherald", "shs", "dhs"]))
+    if protocol == "multiherald":
+        n = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            aliases, fixed = {"p": tuple(f"p{i}" for i in range(1, n + 1))}, {"n": n}
+        else:
+            aliases, fixed = {f"p{i}": (f"p{i}",) for i in range(1, n + 1)}, {}
+    else:
+        layout = draw(st.sampled_from(ALIAS_LAYOUTS[protocol]))
+        aliases, fixed = {name: ALIAS_SLOTS[protocol][name] for name in layout}, {}
+    names = draw(st.permutations(sorted(aliases)))
+    varied_count = draw(st.integers(0, min(2, len(names))))
+    varied = [{"name": name, "start": draw(SWEEP_PROBS), "stop": draw(SWEEP_PROBS),
+               "count": draw(st.integers(2, 3))} for name in names[:varied_count]]
+    fixed.update({name: draw(SWEEP_PROBS) for name in names[varied_count:]})
+    tau = draw(st.sampled_from([None, 2.5, 0.4]))
+    if tau is not None:
+        fixed["tau"] = tau
+    fixed.update(horizon=30, steps=20, trajectories=2, seed=draw(st.integers(0, 99)))
+    outputs = draw(st.permutations(["equilibrium", "mean_latency", "latency_std_over_mean",
+                                    "naive_var", "exact_var", "simulated_mean"]))
+    spec = {"protocol": protocol, "varied_params": varied, "fixed_params": fixed,
+            "outputs": list(outputs)}
+    return spec, aliases
+
+
+def alone(protocol: str, slots: dict, tau: float, outputs, config) -> list[float]:
+    """The outputs at one point, from its own chain and the one-point estimators."""
+    if protocol == "multiherald":
+        params = protocols.MultiHeraldParams(tuple(slots[f"p{i}"] for i in range(1, len(slots) + 1)))
+    elif protocol == "shs":
+        params = protocols.TwoLinkParams((slots["pl"],), (slots["pr"],), slots["ps"])
+    else:
+        params = protocols.TwoLinkParams((slots["pl1"], slots["pl2"]),
+                                         (slots["pr1"], slots["pr2"]), slots["ps"])
+    chain = protocols.build_chain(params, tau)
+    latency = estimators.estimate_latency(chain)
+    values = {
+        "equilibrium": chain.equilibrium[chain.success_state],
+        "mean_latency": latency.mean,
+        "latency_std_over_mean": np.sqrt(latency.variance) / latency.mean,
+        "naive_var": estimators.estimate_throughput(chain, 30).naive_variance,
+        "exact_var": estimators.exact_throughput_variance(chain, 30),
+        "simulated_mean": simulator.simulate_chain(chain, config).mean_throughput,
+    }
+    return [values[metric] for metric in outputs]
+
+
+class TestColumnarSweep:
+    """A sweep row is its point evaluated alone; the sweep path builds no params per point."""
+
+    @given(alias_sweeps())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_points_built_alone(self, case):
+        spec, aliases = case
+        fixed = spec["fixed_params"]
+        config = simulator.SimConfig(seed=fixed["seed"], steps_per_trajectory=20, trajectories=2)
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "spec.json"
+            path.write_text(json.dumps(spec))
+            dest = Path(work) / "out.csv"
+            assert main(["sweep", "--spec", str(path), "--output", str(dest)]) == 0
+            header, *lines = dest.read_text().splitlines()
+        varied = [entry["name"] for entry in spec["varied_params"]]
+        assert header.split(",") == varied + spec["outputs"]
+        assert len(lines) == np.prod([entry["count"] for entry in spec["varied_params"]])
+        for line in lines:
+            cells = [float(cell) for cell in line.split(",")]
+            values = {**{name: fixed[name] for name in aliases if name not in varied},
+                      **dict(zip(varied, cells))}
+            slots = {slot: value for name, value in values.items() for slot in aliases[name]}
+            want = alone(spec["protocol"], slots, fixed.get("tau", 1.0), spec["outputs"], config)
+            assert np.array_equal(cells[len(varied):], want), line
+
+    @pytest.mark.parametrize("protocol, names, fixed", [
+        ("multiherald", ("p1", "p2"), {}),
+        ("shs", ("pl", "pr"), {"ps": 0.9}),
+        ("dhs", ("p1", "p2"), {"ps": 0.9}),
+    ])
+    def test_no_params_object_per_point(self, capsys, tmp_path, monkeypatch, protocol,
+                                        names, fixed):
+        built = []
+        for kind in (protocols.MultiHeraldParams, protocols.TwoLinkParams):
+            check = kind.__post_init__
+            monkeypatch.setattr(kind, "__post_init__",
+                                lambda self, check=check: built.append(self) or check(self))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "protocol": protocol,
+            "varied_params": [{"name": name, "start": 0.2, "stop": 0.9, "count": 10}
+                              for name in names],
+            "fixed_params": fixed,
+            "outputs": ["equilibrium", "mean_latency", "latency_std_over_mean", "naive_var"],
+        }))
+        dest = tmp_path / "out.csv"
+        assert run_cli(capsys, "sweep", "--spec", str(spec), "--output", str(dest))[0] == 0
+        assert len(dest.read_text().splitlines()) == 101
+        assert built == []
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+        cli._build_parser.cache_clear()
+        argv = ("analyze", "--protocol", "shs", "--pl", "0.5", "--pr", "0.5", "--ps", "1")
+        assert run_cli(capsys, *argv)[0] == 0
+        first = len(built)
+        assert first > 0
+        for _ in range(3):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert len(built) == first
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "argparse.ArgumentParser.__init__ = "
+                "lambda self, *a, **kw: built.append(self) or init(self, *a, **kw)\n"
+                "import repeaterlab.cli\n"
+                "print(len(built))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "0"
 
 
 class TestImportCost:
