@@ -25,8 +25,6 @@ from .protocols import (
     ProtocolChain,
     TwoLinkParams,
     build_chain,
-    build_multiheralded,
-    build_two_link,
     cf_bkp_exact_mean_throughput,
     cf_bkp_throughput_variance_leading,
     cf_equilibrium_multiheralded,
@@ -49,8 +47,6 @@ __all__ = [
     "ThroughputEstimate",
     "TwoLinkParams",
     "build_chain",
-    "build_multiheralded",
-    "build_two_link",
     "cf_bkp_exact_mean_throughput",
     "cf_bkp_throughput_variance_leading",
     "cf_equilibrium_multiheralded",

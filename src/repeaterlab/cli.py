@@ -21,14 +21,17 @@ unit and latency in time units.
 
 A sweep is columnar from spec to CSV. _SweepPlan builds the grid once, as a
 (points x varied) array in itertools.product order, and from it one float
-column per protocol slot (aliases and fixed values resolved once). It checks
+column per protocol slot (aliases and fixed values resolved once), in the
+slot-row order of the protocol's chain builder (see protocols). It checks
 every column at once; if a point fails, the first failing point is rebuilt
 through its own check (the params constructor, or _nested_point), so the
-error is the one that point raises alone. Each block of points then builds
-one stacked chain from slices of those columns, with no params object per
+error is the one that point raises alone. Each block of points then passes
+its rows to the protocol's builder as one stack, with no params object per
 point, and the CSV rows come from one float table per block. compare and
-simulate evaluate a one-row block the same way. The argparse parser is built
-on the first main call and reused by later calls in the same process.
+simulate evaluate a one-row block the same way, from their params' .row.
+analyze builds its chain from one params object through build_chain. The
+argparse parser is built on the first main call and reused by later calls
+in the same process.
 """
 from __future__ import annotations
 
@@ -183,7 +186,8 @@ def cmd_analyze(args) -> int:
     chain = protocols.build_chain(params, tau)
     pi = chain.equilibrium
     success = float(pi[chain.success_state])
-    throughput = estimators.estimate_throughput(chain, args.horizon, exact=args.exact)
+    throughput = estimators.estimate_throughput(chain, args.horizon)
+    exact = estimators.exact_throughput_variance(chain, args.horizon) if args.exact else None
     latency = estimators.estimate_latency(chain)
     try:
         deltas = _closed_form_deltas(params, chain, success, latency)
@@ -201,7 +205,7 @@ def cmd_analyze(args) -> int:
         "throughput": {
             "mean_rate": throughput.mean_rate,
             "naive_variance": throughput.naive_variance,
-            "exact_variance": throughput.exact_variance,
+            "exact_variance": exact,
             "horizon_N": throughput.horizon_N,
         },
         "latency": {"mean": latency.mean, "variance": latency.variance},
@@ -347,21 +351,12 @@ def _probability_bad(rows: np.ndarray, tau) -> np.ndarray:
     return ~((0.0 <= rows) & (rows <= 1.0)).all(axis=-1)
 
 
-def _two_link_params(row) -> protocols.TwoLinkParams:
-    r = len(row) // 2
-    return protocols.TwoLinkParams(tuple(row[:r]), tuple(row[r:2 * r]), row[-1])
-
-
-def _two_link_chain(rows: np.ndarray, tau: float) -> protocols.ProtocolChain:
-    r = rows.shape[-1] // 2
-    return protocols.two_link_chain(rows[:, :r], rows[:, r:2 * r], rows[:, -1], tau)
-
-
 class _Protocol(NamedTuple):
     """A sweep protocol's parameters and how its grid points are checked and built."""
 
     # parameter name -> the slots it sets, or a function of (names, fixed_params)
-    # giving that; the slots' order of first appearance is the column order of rows
+    # giving that; the slots' order of first appearance is the column order of rows,
+    # which is the slot-row order of the chain builder and of the params' .row
     aliases: dict | Callable
     # (rows, fixed_params' tau or None) -> mask of the points that point() rejects
     bad: Callable
@@ -378,12 +373,14 @@ _PROTOCOLS = {
         protocols.multiheralded_chain),
     "shs": _Protocol(
         {"pl": ("pl",), "pr": ("pr",), "ps": ("ps",), "p": ("pl", "pr")},
-        _probability_bad, lambda row, tau: _two_link_params(row), _two_link_chain),
+        _probability_bad, lambda row, tau: protocols.TwoLinkParams.from_row(row),
+        protocols.two_link_chain),
     "dhs": _Protocol(
         {"pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",), "ps": ("ps",),
          "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"), "pl": ("pl1", "pl2"),
          "pr": ("pr1", "pr2"), "p": ("pl1", "pl2", "pr1", "pr2")},
-        _probability_bad, lambda row, tau: _two_link_params(row), _two_link_chain),
+        _probability_bad, lambda row, tau: protocols.TwoLinkParams.from_row(row),
+        protocols.two_link_chain),
     "nested": _Protocol({"k": ("k",), "p": ("p",)}, _nested_bad, _nested_point, None),
 }
 
@@ -535,13 +532,6 @@ def cmd_sweep(args) -> int:
 
 # -------------------------------------------------------- simulate/compare
 
-def _params_row(params) -> np.ndarray:
-    """One params object as the one-row slot array of a chain block."""
-    if isinstance(params, protocols.MultiHeraldParams):
-        return np.array([params.round_probs])
-    return np.array([params.left_probs + params.right_probs + (params.swap_prob,)])
-
-
 def _sim_target(args):
     """The one-target block a simulate/compare command line names, and its params.
 
@@ -559,7 +549,7 @@ def _sim_target(args):
     if nested_flags:
         raise CliValidationError(f"{', '.join(nested_flags)} require --nested")
     params, tau = _params_from_args(args)
-    return _Block(protocols.protocol_name(params), _params_row(params), tau), params
+    return _Block(protocols.protocol_name(params), np.array([params.row]), tau), params
 
 
 def _sim_config_from_args(args) -> simulator.SimConfig:

@@ -2,12 +2,14 @@
 
 Rates come from the success-state equilibrium probability; latency moments
 come from first-hitting-time analysis. The finite-horizon throughput
-variance is available in two flavors: the naive binomial form that ignores
-step-to-step correlations, and the exact form that accumulates the full
+variance is available in two flavors: estimate_throughput gives the naive
+binomial form that ignores step-to-step correlations, next to the rate, and
+exact_throughput_variance the exact form that accumulates the full
 covariance double sum over the horizon. The nested estimators extrapolate
 two-link results to 2^k-link chains by feeding rates back in as effective
-link probabilities. The rate, the naive variance and the latency moments are
-elementwise, so a stacked chain (see protocols) gets one value per point.
+link probabilities of the shs closed form. The rate, the naive variance and
+the latency moments are elementwise, so a stacked chain (see protocols) gets
+one value per point; the exact variance takes one chain.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import markov
-from .protocols import ProtocolChain, TwoLinkParams, cf_equilibrium_shs
+from .protocols import ProtocolChain, _shs_equilibrium
 
 HORIZON_CAP = 1_000_000
 MAX_NESTED_K = 12  # 2^12 links: one step of draws for a batch of 1024 trajectories is 32 MiB
@@ -48,14 +50,13 @@ def _reject(name, value, bad, expected):
 class ThroughputEstimate:
     """Success rate and its finite-horizon variance.
 
-    mean_rate is in pairs per time unit; variances are in rate-squared
+    mean_rate is in pairs per time unit; naive_variance is in rate-squared
     units for a horizon of horizon_N steps of duration tau. For a stacked
-    chain, mean_rate and naive_variance hold one entry per point.
+    chain, both hold one entry per point.
     """
 
     mean_rate: float | np.ndarray
     naive_variance: float | np.ndarray
-    exact_variance: float | None
     horizon_N: int
     tau: float
 
@@ -65,7 +66,6 @@ class ThroughputEstimate:
                 "[0, 1/tau]")
         _reject("naive_variance", self.naive_variance,
                 np.asarray(self.naive_variance) < -1e-12, ">= -1e-12")
-        # exact_throughput_variance checks exact_variance itself
 
 
 @dataclass(frozen=True)
@@ -161,26 +161,25 @@ def exact_throughput_variance(chain: ProtocolChain, N: int) -> float:
     return var
 
 
-def estimate_throughput(chain: ProtocolChain, N: int, exact: bool = False) -> ThroughputEstimate:
-    """Long-run success rate plus naive and (optionally) exact N-step variance.
+def estimate_throughput(chain: ProtocolChain, N: int) -> ThroughputEstimate:
+    """Long-run success rate plus the naive N-step variance of the rate.
 
     Args:
-        chain: protocol chain, or a stacked chain when exact is False; its
-            equilibrium must exist (reducible degenerate parameter corners
-            surface solver errors instead).
+        chain: protocol chain, or a stacked chain; its equilibrium must exist
+            (reducible degenerate parameter corners surface solver errors
+            instead).
         N: horizon in steps for the variance of the rate estimator, at most
             ``HORIZON_CAP``.
-        exact: also evaluate the exact finite-horizon variance; O(N) passes.
 
     Returns:
         ThroughputEstimate with mean_rate = pi_success / tau and
-        naive_variance = pi (1 - pi) / (N tau^2).
+        naive_variance = pi (1 - pi) / (N tau^2). The exact variance over
+        the same horizon is exact_throughput_variance(chain, N).
     """
     check_horizon(N)
     p_succ = chain.equilibrium[..., chain.success_state]
     naive = p_succ * (1.0 - p_succ) / (N * chain.tau**2)
-    ex = exact_throughput_variance(chain, N) if exact else None
-    return ThroughputEstimate(p_succ / chain.tau, naive, ex, N, chain.tau)
+    return ThroughputEstimate(p_succ / chain.tau, naive, N, chain.tau)
 
 
 def estimate_latency(chain: ProtocolChain) -> LatencyEstimate:
@@ -220,6 +219,7 @@ def nested_throughput(p: float, k: int, method: str) -> NestedEstimate:
             for the double range).
     """
     check_nested(k, p)
+    p = float(p)
     if method not in ("type1", "type2"):
         raise ArgumentRangeError("method", method, "'type1' or 'type2'")
 
@@ -228,7 +228,7 @@ def nested_throughput(p: float, k: int, method: str) -> NestedEstimate:
             raise FloatingPointError(f"nested rate at level {level} underflowed to 0 (p = {p!r})")
         return rate
 
-    rates = [checked(1, cf_equilibrium_shs(TwoLinkParams((p,), (p,), 1.0)))]
+    rates = [checked(1, _shs_equilibrium(p, p, 1.0))]
     clamp_events = []
     for level in range(2, k + 1):
         scale = float(2 ** (level - 1))
@@ -236,6 +236,6 @@ def nested_throughput(p: float, k: int, method: str) -> NestedEstimate:
         arg = min(max(raw, 0.0), 1.0)
         if arg != raw:
             clamp_events.append((level, raw))
-        step = cf_equilibrium_shs(TwoLinkParams((arg,), (arg,), 1.0))
+        step = _shs_equilibrium(arg, arg, 1.0)
         rates.append(checked(level, step / scale if method == "type1" else step))
     return NestedEstimate(k, tuple(rates), method, tuple(clamp_events))

@@ -66,9 +66,6 @@ class StochasticMatrix:
     def n(self) -> int:
         return self.rows.shape[-1]
 
-    def __getitem__(self, idx):
-        return self.rows[idx]
-
 
 def validate(rows) -> StochasticMatrix:
     """Check and wrap a raw matrix, or a stack of them, as row-stochastic.

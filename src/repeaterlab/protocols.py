@@ -13,15 +13,17 @@ protocol phases with a designated failure (restart) state and success state:
 * dhs: same two-link layout, but each link needs two heralding rounds; states
   label per-link round progress (0, 1, or 2 = pair ready).
 
-One builder, two_link_chain, makes both two-link chains from the round count.
-The builders work on probability arrays: multiheralded_chain and
-two_link_chain take arrays with an optional leading stack axis and return
-one chain whose matrix stacks the points' matrices on it, so a sweep builds
-and solves all of its points together (see markov) with no params object per
-point. build_multiheralded, build_two_link and build_chain are the
-params-object entries: they check one params object (or a sequence of
-same-shape ones) in its constructor and pass its fields to the array
-builders.
+There is one builder per family, and both take slot rows: arrays of shape
+(..., slots) whose last axis lists a point's probabilities in a fixed order,
+with an optional leading stack axis. multiheralded_chain takes the n round
+probs; two_link_chain takes 2r + 1 slots, the left link's r round probs,
+then the right link's, then the swap prob, and makes both two-link chains
+from the round count. A stack of rows gives one chain whose matrix stacks
+the points' matrices, so a sweep builds and solves all of its points
+together (see markov) with no params object per point. A params object
+checks one point in its constructor and gives its slot row as .row
+(TwoLinkParams.from_row reads one back); build_chain passes that row to its
+family's builder. Only this module knows the slot layout.
 
 The success-state row always equals the failure-state row: after delivering
 a pair the protocol restarts exactly as after a failure. Closed-form results
@@ -33,6 +35,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +71,19 @@ class DegenerateChainError(ProtocolError):
     """Parameters put the chain in a 0/0 corner (both links dead)."""
 
 
-def _check_prob(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise ProbabilityRangeError(name, value)
+def _real(name, value) -> float:
+    """value as a float if it is a real number (Python or numpy), not a bool or a str."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ProtocolError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _check_prob(name, value) -> float:
+    """value as a float if it is a real number in [0, 1]."""
+    p = _real(name, value)
+    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+        raise ProbabilityRangeError(name, value)
+    return p
 
 
 @dataclass(frozen=True)
@@ -81,16 +93,19 @@ class MultiHeraldParams:
     round_probs: tuple[float, ...]
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.round_probs)
-        if len(probs) == 0:
+        probs = tuple(_check_prob(f"round_probs[{i}]", p) for i, p in enumerate(self.round_probs))
+        if not probs:
             raise EmptyRoundsError("round_probs must list at least one round")
-        for i, p in enumerate(probs):
-            _check_prob(f"round_probs[{i}]", p)
         object.__setattr__(self, "round_probs", probs)
 
     @property
     def n(self) -> int:
         return len(self.round_probs)
+
+    @property
+    def row(self) -> tuple[float, ...]:
+        """The slot row multiheralded_chain takes: the round probs."""
+        return self.round_probs
 
 
 @dataclass(frozen=True)
@@ -107,19 +122,26 @@ class TwoLinkParams:
     swap_prob: float
 
     def __post_init__(self):
-        left = tuple(float(p) for p in self.left_probs)
-        right = tuple(float(p) for p in self.right_probs)
+        left, right = tuple(self.left_probs), tuple(self.right_probs)
         if len(left) != len(right) or len(left) not in (1, 2):
             raise HeraldCountError(
                 f"left/right prob lists must both have length 1 or 2, "
                 f"got {len(left)} and {len(right)}")
-        for i, p in enumerate(left):
-            _check_prob(f"left_probs[{i}]", p)
-        for i, p in enumerate(right):
-            _check_prob(f"right_probs[{i}]", p)
-        object.__setattr__(self, "left_probs", left)
-        object.__setattr__(self, "right_probs", right)
+        for side, probs in (("left_probs", left), ("right_probs", right)):
+            object.__setattr__(self, side, tuple(
+                _check_prob(f"{side}[{i}]", p) for i, p in enumerate(probs)))
         object.__setattr__(self, "swap_prob", _check_prob("swap_prob", self.swap_prob))
+
+    @property
+    def row(self) -> tuple[float, ...]:
+        """The slot row two_link_chain takes: left round probs, right round probs, swap prob."""
+        return self.left_probs + self.right_probs + (self.swap_prob,)
+
+    @classmethod
+    def from_row(cls, row) -> "TwoLinkParams":
+        """The params of one slot row of two_link_chain, checked by the constructor."""
+        r = _link_rounds(len(row))
+        return cls(row[:r], row[r:2 * r], row[-1])
 
 
 @dataclass(frozen=True)
@@ -165,16 +187,6 @@ class ProtocolChain:
                              self.start_state, self.success_state, self.tau)
 
 
-def _probs(params, field: str) -> np.ndarray:
-    """A params field as an array: shape (r,) for one params object, (points, r) for a sequence.
-
-    A scalar field (swap_prob) gives shape () or (points,).
-    """
-    if isinstance(params, (MultiHeraldParams, TwoLinkParams)):
-        return np.asarray(getattr(params, field), dtype=float)
-    return np.array([getattr(point, field) for point in params], dtype=float)
-
-
 def _round_rows(probs: np.ndarray) -> np.ndarray:
     """Rows of an n-round link counter: row i < n passes round i+1 with p_i or drops to 0.
 
@@ -205,15 +217,18 @@ def multiheralded_chain(round_probs, tau: float = 1.0) -> ProtocolChain:
     return ProtocolChain(markov.validate(rows), labels, 0, n, float(tau))
 
 
-def build_multiheralded(params, tau: float = 1.0) -> ProtocolChain:
-    """multiheralded_chain of one MultiHeraldParams, or of a sequence of them with one n."""
-    return multiheralded_chain(_probs(params, "round_probs"), tau)
+def _link_rounds(slots: int) -> int:
+    """The round count r of one link in a two-link slot row of 2r + 1 slots."""
+    if slots < 3 or slots % 2 != 1:
+        raise HeraldCountError(f"a two-link slot row has 2r + 1 >= 3 slots, got {slots}")
+    return slots // 2
 
 
-def two_link_chain(left_probs, right_probs, swap_prob, tau: float = 1.0) -> ProtocolChain:
+def two_link_chain(slots, tau: float = 1.0) -> ProtocolChain:
     """Two r-round heralded links plus one swap: states ij for i, j in 0..r, then S.
 
-    left_probs and right_probs have shape (..., r), swap_prob shape (...);
+    slots has shape (..., 2r + 1): the left link's r round probabilities,
+    then the right link's, then the swap probability (TwoLinkParams.row);
     a leading stack axis gives a stacked chain. Label "ij" gives the rounds
     passed on the left (i) and right (j) link; r means the link holds a
     pair. State ij has index i*(r+1)+j and S comes last. A link that has
@@ -223,10 +238,11 @@ def two_link_chain(left_probs, right_probs, swap_prob, tau: float = 1.0) -> Prot
     r = 1 (states 00, 01, 10, 11, S), the dhs scheme r = 2. As in
     multiheralded_chain, markov.validate is the only range check.
     """
-    left = _round_rows(np.asarray(left_probs, dtype=float))
-    right = _round_rows(np.asarray(right_probs, dtype=float))
-    swap = np.asarray(swap_prob, dtype=float)
-    r = left.shape[-1] - 1
+    slots = np.asarray(slots, dtype=float)
+    r = _link_rounds(slots.shape[-1])
+    left = _round_rows(slots[..., :r])
+    right = _round_rows(slots[..., r:2 * r])
+    swap = slots[..., -1]
     width = r + 1
     ready = width * width - 1  # index of rr; S is ready + 1
     left[..., r, r] = right[..., r, r] = 1.0
@@ -241,12 +257,6 @@ def two_link_chain(left_probs, right_probs, swap_prob, tau: float = 1.0) -> Prot
     rows[..., -1, :] = rows[..., 0, :]
     labels = tuple(f"{i}{j}" for i in range(width) for j in range(width)) + ("S",)
     return ProtocolChain(markov.validate(rows), labels, 0, ready + 1, float(tau))
-
-
-def build_two_link(params, tau: float = 1.0) -> ProtocolChain:
-    """two_link_chain of one TwoLinkParams, or of a sequence of them with one r."""
-    return two_link_chain(_probs(params, "left_probs"), _probs(params, "right_probs"),
-                          _probs(params, "swap_prob"), tau)
 
 
 def cf_equilibrium_multiheralded(params: MultiHeraldParams) -> float:
@@ -306,15 +316,19 @@ def _shs_probs(params: TwoLinkParams) -> tuple[float, float, float]:
     return params.left_probs[0], params.right_probs[0], params.swap_prob
 
 
-def cf_equilibrium_shs(params: TwoLinkParams) -> float:
-    """Closed-form success-state equilibrium probability of the shs chain."""
-    pl, pr, ps = _shs_probs(params)
+def _shs_equilibrium(pl: float, pr: float, ps: float) -> float:
+    """cf_equilibrium_shs at link probabilities pl, pr and swap probability ps."""
     if pl == 0.0 and pr == 0.0:
         raise DegenerateChainError("both links dead: equilibrium is 0/0")
     ql, qr = 1.0 - pl, 1.0 - pr
     num = pl * pr * ps * (1.0 - ql * qr)
     den = 2.0 * pl * pr + ql * pr**2 + qr * pl**2 - pl * pr * ql * qr
     return num / den
+
+
+def cf_equilibrium_shs(params: TwoLinkParams) -> float:
+    """Closed-form success-state equilibrium probability of the shs chain."""
+    return _shs_equilibrium(*_shs_probs(params))
 
 
 def cf_latency_variance_shs(params: TwoLinkParams) -> float:
@@ -339,18 +353,12 @@ PROTOCOL_NAMES = ("multiherald", "shs", "dhs")
 
 
 def build_chain(params, tau: float = 1.0) -> ProtocolChain:
-    """Dispatch to the right builder for a params object.
-
-    params may also be a non-empty sequence of params of one protocol and
-    shape, which gives one stacked chain: its matrix has shape (points, n, n).
-    """
-    points = [params] if isinstance(params, (MultiHeraldParams, TwoLinkParams)) else params
-    kinds = {type(point) for point in points}
-    if kinds == {MultiHeraldParams}:
-        return build_multiheralded(params, tau)
-    if kinds == {TwoLinkParams}:
-        return build_two_link(params, tau)
-    raise TypeError(f"unsupported params types {sorted(kind.__name__ for kind in kinds)}")
+    """The chain of one params object, from its slot row and its family's builder."""
+    if isinstance(params, MultiHeraldParams):
+        return multiheralded_chain(params.row, tau)
+    if isinstance(params, TwoLinkParams):
+        return two_link_chain(params.row, tau)
+    raise TypeError(f"unsupported params type {type(params).__name__}")
 
 
 def protocol_name(params) -> str:
@@ -381,19 +389,24 @@ def params_from_json(text: str):
     if not isinstance(doc, dict) or "protocol" not in doc:
         raise ProtocolError('params document must be an object with a "protocol" key')
     name = doc["protocol"]
-    tau = float(doc.get("tau", 1.0))
+    tau = _real("tau", doc.get("tau", 1.0))
+
+    def array(field: str) -> tuple:
+        if not isinstance(doc[field], list):
+            raise ProtocolError(f"{field} must be a JSON array, got {doc[field]!r}")
+        return tuple(doc[field])
+
     if name == "multiherald":
         extra = set(doc) - {"protocol", "round_probs", "tau"}
         if extra or "round_probs" not in doc:
             raise ProtocolError(f"bad multiherald params document (extra/missing keys: {extra or 'round_probs'})")
-        return MultiHeraldParams(tuple(doc["round_probs"])), tau
+        return MultiHeraldParams(array("round_probs")), tau
     if name in ("shs", "dhs"):
         extra = set(doc) - {"protocol", "left_probs", "right_probs", "swap_prob", "tau"}
         missing = {"left_probs", "right_probs", "swap_prob"} - set(doc)
         if extra or missing:
             raise ProtocolError(f"bad {name} params document (extra {extra}, missing {missing})")
-        params = TwoLinkParams(tuple(doc["left_probs"]), tuple(doc["right_probs"]),
-                               doc["swap_prob"])
+        params = TwoLinkParams(array("left_probs"), array("right_probs"), doc["swap_prob"])
         if protocol_name(params) != name:
             raise HeraldCountError(f"herald count does not match protocol {name!r}")
         return params, tau

@@ -80,6 +80,28 @@ FIGURE_DIGESTS = {
     "shs_latency_spread": "09e25ca53a8c27149317f391d3fe7dcbe27d9c830fb016178329429ff9f135f3",
 }
 FIGURES = Path(__file__).resolve().parents[1] / "figures"
+# analyze reports: one per protocol with the exact variance, one without it,
+# and one read through --params-json (PARAMS_JSON_TEXT written to a file)
+GOLDEN_ANALYZE_ARGV = {
+    "multiherald": ("--protocol", "multiherald", "--probs", "0.3,0.7,0.9", "--tau", "1.5",
+                    "--exact", "--horizon", "500"),
+    "shs": ("--protocol", "shs", "--pl", "0.4", "--pr", "0.65", "--ps", "0.85", "--tau", "2",
+            "--exact", "--horizon", "500"),
+    "dhs": ("--protocol", "dhs", "--pl", "0.5,0.6", "--pr", "0.7,0.4", "--ps", "0.9",
+            "--exact", "--horizon", "500"),
+    "naive": ("--protocol", "shs", "--pl", "0.25", "--pr", "0.9", "--ps", "0.6",
+              "--horizon", "2000"),
+    "params_json": ("--params-json", "{params_json}", "--exact", "--horizon", "300"),
+}
+PARAMS_JSON_TEXT = json.dumps({"protocol": "dhs", "left_probs": [0.35, 0.8],
+                               "right_probs": [0.6, 0.45], "swap_prob": 0.75, "tau": 0.5})
+GOLDEN_ANALYZE_DIGESTS = {
+    "multiherald": "f0f16d0617995ffd5148b6d00749d9967a06b2a4e473d13a7beb936f8a7df542",
+    "shs": "938fc52caa789184f6bc1d5d6815f9946d57f0188b2b8f10e44e3667e36ebbc4",
+    "dhs": "16268ab21ac0695e050948c2bcc7b09031be65aa5dd47e30836ef00c6f7ed461",
+    "naive": "5eaadc5e26f33036d58a5fd34c694066e7d4321cdf907d3b42ac4ffe2c185004",
+    "params_json": "b1b3bea028a7cf6a504213e9fd52501b0b9741db62f75a3108cbaaffc4947aad",
+}
 GOLDEN_COMPARE_DIGESTS = {
     "chain": "0c9c0cb2acea0e691aaddabce1165a2ea9cfaf8ff7c837fbe1e4c5f0eb1a04ed",
     "nested": "224593cfdd678e4e796805dbf8e0d3149b11261ec1049cb7086f3d6790d79d99",
@@ -174,6 +196,23 @@ class TestAnalyze:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert json.loads(err)["error"]["category"] == "validation"
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"protocol": "multiherald", "round_probs": [True, "0.5"]}, "round_probs[0]"),
+        ({"protocol": "multiherald", "round_probs": "0.5"}, "round_probs"),
+        ({"protocol": "shs", "left_probs": [0.5], "right_probs": [0.5], "swap_prob": "1"},
+         "swap_prob"),
+        ({"protocol": "shs", "left_probs": [0.5], "right_probs": [0.5], "swap_prob": 1,
+          "tau": "2"}, "tau"),
+    ])
+    def test_params_json_non_numbers_exit_2(self, capsys, tmp_path, doc, field):
+        src = tmp_path / "params.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "analyze", "--params-json", str(src))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["category"], error["type"]) == ("validation", "ProtocolError")
+        assert error["message"].startswith(field)
 
     def test_numerical_exit_3(self, capsys):
         # a dead first round makes success unreachable: the hitting-time
@@ -691,7 +730,7 @@ class TestCompare:
 
 
 class TestGoldenOutputs:
-    """Sweep and compare CSVs, to the last byte, for every protocol and metric."""
+    """Sweep and compare CSVs and analyze reports, to the last byte, for every protocol and metric."""
 
     @pytest.mark.parametrize("protocol", sorted(GOLDEN_SWEEP_SPECS))
     def test_sweep_csv(self, capsys, tmp_path, protocol):
@@ -708,6 +747,15 @@ class TestGoldenOutputs:
                              "--output", str(dest))
         assert code == 0
         assert hashlib.sha256(dest.read_bytes()).hexdigest() == GOLDEN_COMPARE_DIGESTS[target]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_ANALYZE_ARGV))
+    def test_analyze_report(self, capsys, tmp_path, case):
+        params_json = tmp_path / "params.json"
+        params_json.write_text(PARAMS_JSON_TEXT)
+        argv = [arg.format(params_json=params_json) for arg in GOLDEN_ANALYZE_ARGV[case]]
+        dest = tmp_path / "report.json"
+        assert run_cli(capsys, "analyze", *argv, "--output", str(dest))[0] == 0
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == GOLDEN_ANALYZE_DIGESTS[case]
 
 
 class TestFigureSpecs:

@@ -25,7 +25,6 @@ class TestThroughput:
         est = estimators.estimate_throughput(chain, 1000)
         pi = markov.equilibrium(chain.matrix)
         assert est.mean_rate == pytest.approx(pi[2] / 2.0, rel=1e-13)
-        assert est.exact_variance is None
 
     def test_naive_variance_formula(self):
         chain = bkp(0.5, 0.5)
@@ -64,7 +63,7 @@ class TestThroughput:
         with pytest.raises(estimators.ArgumentRangeError):
             estimators.estimate_throughput(chain, 0)
         with pytest.raises(estimators.HorizonError):
-            estimators.estimate_throughput(chain, 10**7, exact=True)
+            estimators.estimate_throughput(chain, 10**7)
 
     def test_leading_order_converges_to_exact(self):
         # the equilibrium approximation approaches the exact value as N grows

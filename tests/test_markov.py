@@ -30,26 +30,35 @@ edge_probs = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
 @st.composite
-def same_shape_params(draw):
-    """1..6 params of one protocol and shape: multiherald n = 1..4, shs or dhs."""
+def slot_stacks(draw):
+    """1..6 points of one protocol and shape: multiherald n = 1..4, shs or dhs.
+
+    Returns (builder, rows, params): the array builder of the protocol, the
+    points' slot rows as one (points, slots) array, and each point's params
+    object, built from its own probabilities, not from its row.
+    """
     kind = draw(st.sampled_from(["multiherald", "shs", "dhs"]))
     rounds = {"multiherald": draw(st.integers(1, 4)), "shs": 1, "dhs": 2}[kind]
+    points = draw(st.integers(1, 6))
 
     def probs():
-        return tuple(draw(edge_probs) for _ in range(rounds))
+        return np.array([[draw(edge_probs) for _ in range(rounds)] for _ in range(points)])
 
-    def one():
-        if kind == "multiherald":
-            return protocols.MultiHeraldParams(probs())
-        return protocols.TwoLinkParams(probs(), probs(), draw(edge_probs))
-    return [one() for _ in range(draw(st.integers(1, 6)))]
+    if kind == "multiherald":
+        round_probs = probs()
+        return (protocols.multiheralded_chain, round_probs,
+                [protocols.MultiHeraldParams(tuple(row)) for row in round_probs])
+    left, right, swap = probs(), probs(), np.array([draw(edge_probs) for _ in range(points)])
+    params = [protocols.TwoLinkParams(tuple(left[i]), tuple(right[i]), swap[i])
+              for i in range(points)]
+    return protocols.two_link_chain, np.column_stack([left, right, swap]), params
 
 
 class TestValidate:
     def test_accepts_and_freezes(self):
         m = markov.validate(BKP_HALF)
         assert m.n == 3
-        assert m[1, 2] == 0.5
+        assert m.rows[1, 2] == 0.5
         with pytest.raises(ValueError):
             m.rows[0, 0] = 0.9  # read-only view
 
@@ -177,12 +186,14 @@ class TestStack:
     # a link that almost never succeeds overflows the inverse; hitting_stats
     # then rejects the point, and numpy warns on the way
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(same_shape_params())
+    @given(slot_stacks())
     @settings(max_examples=300, deadline=None)
-    def test_stacked_calls_equal_one_point_calls(self, params):
-        stack = protocols.build_chain(params, 2.5)
+    def test_stacked_calls_equal_one_point_calls(self, case):
+        builder, rows, params = case
+        stack = builder(rows, 2.5)
         chains = [protocols.build_chain(point, 2.5) for point in params]
         for i, chain in enumerate(chains):
+            assert (stack.labels, stack.success_state) == (chain.labels, chain.success_state)
             assert np.array_equal(stack.matrix.rows[i], chain.matrix.rows)
         target = stack.success_state
         solvers = ((lambda m: (markov.equilibrium(m),), markov.SingularSystemError),
@@ -198,10 +209,15 @@ class TestStack:
                 with pytest.raises(error):
                     solve(stack.matrix)
             if alone:
-                together = solve(protocols.build_chain([params[i] for i in alone]).matrix)
+                together = solve(builder(rows[list(alone)]).matrix)
                 for j, want in enumerate(alone.values()):
                     for got_all, want_one in zip(together, want):
                         assert np.array_equal(got_all[j], want_one)
+
+    def test_build_chain_takes_one_params_object(self):
+        point = protocols.MultiHeraldParams((0.5, 0.5))
+        with pytest.raises(TypeError):
+            protocols.build_chain([point, point])
 
     def test_one_bad_point_fails_the_stack(self):
         good, dead = BKP_HALF, [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]

@@ -12,8 +12,6 @@ from repeaterlab.protocols import (
     MultiHeraldParams,
     TwoLinkParams,
     build_chain,
-    build_multiheralded,
-    build_two_link,
     cf_equilibrium_multiheralded,
     cf_equilibrium_shs,
     cf_latency_variance_multiheralded,
@@ -50,6 +48,42 @@ class TestParamObjects:
         assert protocols.protocol_name(TwoLinkParams((0.5,), (0.5,), 1.0)) == "shs"
         assert protocols.protocol_name(TwoLinkParams((0.5, 0.5), (0.5, 0.5), 1.0)) == "dhs"
 
+    @pytest.mark.parametrize("value", [True, False, "0.5", "1", None, 0.5j])
+    def test_non_numbers_rejected_by_field(self, value):
+        cases = [
+            (lambda: MultiHeraldParams((0.5, value)), "round_probs[1]"),
+            (lambda: TwoLinkParams((value,), (0.5,), 1.0), "left_probs[0]"),
+            (lambda: TwoLinkParams((0.5, 0.5), (0.5, value), 1.0), "right_probs[1]"),
+            (lambda: TwoLinkParams((0.5,), (0.5,), value), "swap_prob"),
+        ]
+        for make, field in cases:
+            with pytest.raises(protocols.ProtocolError, match=r"must be a real number") as err:
+                make()
+            assert str(err.value).startswith(field)
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.25), np.int64(1),
+                                       np.int8(0), 1, 0])
+    def test_numpy_and_python_reals_accepted(self, value):
+        want = float(value)
+        assert MultiHeraldParams((value, 0.5)).round_probs == (want, 0.5)
+        params = TwoLinkParams((value,), (value,), value)
+        assert params.row == (want, want, want)
+        assert all(type(p) is float for p in params.row)
+
+    def test_rows_round_trip(self):
+        for params in (TwoLinkParams((0.6,), (0.4,), 0.9),
+                       TwoLinkParams((0.6, 0.2), (0.4, 0.7), 0.8)):
+            assert TwoLinkParams.from_row(params.row) == params
+            assert np.array_equal(protocols.two_link_chain(params.row).matrix.rows,
+                                  build_chain(params).matrix.rows)
+        params = MultiHeraldParams((0.2, 0.8, 0.5))
+        assert MultiHeraldParams(params.row) == params
+        for row in ((0.5, 0.5), (0.5,), (0.5, 0.5, 0.5, 0.5)):
+            with pytest.raises(protocols.HeraldCountError):
+                TwoLinkParams.from_row(row)
+            with pytest.raises(protocols.HeraldCountError):
+                protocols.two_link_chain(row)
+
     def test_chain_requires_positive_tau(self):
         for tau in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(protocols.ProtocolError):
@@ -58,19 +92,19 @@ class TestParamObjects:
 
 class TestMultiHeraldMatrix:
     def test_single_herald_matrix(self):
-        chain = build_multiheralded(MultiHeraldParams((0.3,)))
+        chain = build_chain(MultiHeraldParams((0.3,)))
         np.testing.assert_allclose(chain.matrix.rows, [[0.7, 0.3], [0.7, 0.3]], atol=0)
         assert chain.labels == ("0", "1")
         assert (chain.start_state, chain.success_state) == (0, 1)
 
     def test_bkp_matrix(self):
-        chain = build_multiheralded(MultiHeraldParams((0.5, 0.5)))
+        chain = build_chain(MultiHeraldParams((0.5, 0.5)))
         np.testing.assert_allclose(
             chain.matrix.rows,
             [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]], atol=0)
 
     def test_failure_resets_to_zero(self):
-        chain = build_multiheralded(MultiHeraldParams((0.2, 0.4, 0.8)))
+        chain = build_chain(MultiHeraldParams((0.2, 0.4, 0.8)))
         rows = chain.matrix.rows
         for i, p in enumerate((0.2, 0.4, 0.8)):
             assert rows[i, 0] == 1.0 - p
@@ -78,7 +112,7 @@ class TestMultiHeraldMatrix:
 
     @given(st.lists(probs, min_size=1, max_size=5))
     def test_success_row_restarts_the_cycle(self, plist):
-        chain = build_multiheralded(MultiHeraldParams(tuple(plist)))
+        chain = build_chain(MultiHeraldParams(tuple(plist)))
         np.testing.assert_array_equal(chain.matrix.rows[chain.success_state],
                                       chain.matrix.rows[chain.start_state])
 
@@ -86,7 +120,7 @@ class TestMultiHeraldMatrix:
 class TestTwoLinkMatrices:
     def test_shs_rows(self):
         pl, pr, ps = 0.6, 0.7, 0.8
-        chain = build_two_link(TwoLinkParams((pl,), (pr,), ps))
+        chain = build_chain(TwoLinkParams((pl,), (pr,), ps))
         ql, qr = 1.0 - pl, 1.0 - pr
         expect = [
             [ql * qr, ql * pr, pl * qr, pl * pr, 0.0],
@@ -99,8 +133,7 @@ class TestTwoLinkMatrices:
         assert chain.labels == ("00", "01", "10", "11", "S")
 
     def test_dhs_labels_and_shape(self):
-        chain = build_two_link(
-            TwoLinkParams((0.5, 0.5), (0.5, 0.5), 1.0))
+        chain = build_chain(TwoLinkParams((0.5, 0.5), (0.5, 0.5), 1.0))
         assert chain.labels == ("00", "01", "02", "10", "11", "12", "20", "21", "22", "S")
         assert chain.n == 10
         assert chain.success_state == 9
@@ -108,8 +141,7 @@ class TestTwoLinkMatrices:
     def test_dhs_row_mixed_stages(self):
         # left waiting on round 1, right waiting on round 2
         pl1, pl2, pr1, pr2, ps = 0.3, 0.6, 0.5, 0.8, 0.9
-        chain = build_two_link(
-            TwoLinkParams((pl1, pl2), (pr1, pr2), ps))
+        chain = build_chain(TwoLinkParams((pl1, pl2), (pr1, pr2), ps))
         rows = chain.matrix.rows
         labels = list(chain.labels)
         row = rows[labels.index("01")]
@@ -120,8 +152,7 @@ class TestTwoLinkMatrices:
 
     def test_dhs_ready_link_holds(self):
         pl1, pl2, pr1, pr2, ps = 0.3, 0.6, 0.5, 0.8, 0.9
-        chain = build_two_link(
-            TwoLinkParams((pl1, pl2), (pr1, pr2), ps))
+        chain = build_chain(TwoLinkParams((pl1, pl2), (pr1, pr2), ps))
         rows = chain.matrix.rows
         labels = list(chain.labels)
         row20 = rows[labels.index("20")]
@@ -134,7 +165,7 @@ class TestTwoLinkMatrices:
 
     @given(probs, probs, probs)
     def test_shs_success_row_restarts(self, pl, pr, ps):
-        chain = build_two_link(TwoLinkParams((pl,), (pr,), ps))
+        chain = build_chain(TwoLinkParams((pl,), (pr,), ps))
         np.testing.assert_array_equal(chain.matrix.rows[4], chain.matrix.rows[0])
 
 
@@ -189,7 +220,7 @@ class TestClosedFormEquilibrium:
     def test_multiherald_vs_solver_diagonal(self, n):
         for p in GRID:
             params = MultiHeraldParams((p,) * n)
-            chain = build_multiheralded(params)
+            chain = build_chain(params)
             pi = markov.equilibrium(chain.matrix)
             assert cf_equilibrium_multiheralded(params) == pytest.approx(
                 pi[chain.success_state], abs=1e-12)
@@ -197,7 +228,7 @@ class TestClosedFormEquilibrium:
     def test_shs_vs_solver(self):
         for pl, pr, ps in itertools.product([0.2, 0.5, 0.9], repeat=3):
             params = TwoLinkParams((pl,), (pr,), ps)
-            chain = build_two_link(params)
+            chain = build_chain(params)
             pi = markov.equilibrium(chain.matrix)
             assert cf_equilibrium_shs(params) == pytest.approx(
                 pi[chain.success_state], abs=1e-12)
@@ -362,6 +393,31 @@ class TestParamsJson:
         with pytest.raises(protocols.ProtocolError):
             protocols.params_from_json(json.dumps(
                 {"protocol": "multiherald", "round_probs": [0.5], "tau": 1.0, "x": 1}))
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"protocol": "multiherald", "round_probs": [True, "0.5"]},
+         "round_probs[0] must be a real number"),
+        ({"protocol": "multiherald", "round_probs": [0.5, "0.5"]},
+         "round_probs[1] must be a real number"),
+        ({"protocol": "shs", "left_probs": [0.5], "right_probs": [0.5], "swap_prob": "1"},
+         "swap_prob must be a real number"),
+        ({"protocol": "shs", "left_probs": [0.5], "right_probs": [0.5], "swap_prob": True},
+         "swap_prob must be a real number"),
+        ({"protocol": "multiherald", "round_probs": [0.5], "tau": "2"},
+         "tau must be a real number"),
+        ({"protocol": "multiherald", "round_probs": [0.5], "tau": True},
+         "tau must be a real number"),
+        ({"protocol": "multiherald", "round_probs": "0.5"}, "round_probs must be a JSON array"),
+        ({"protocol": "multiherald", "round_probs": 0.5}, "round_probs must be a JSON array"),
+        ({"protocol": "dhs", "left_probs": {"0": 0.5}, "right_probs": [0.5, 0.5],
+          "swap_prob": 1.0}, "left_probs must be a JSON array"),
+        ({"protocol": "shs", "left_probs": [0.5], "right_probs": "0.5", "swap_prob": 1.0},
+         "right_probs must be a JSON array"),
+    ])
+    def test_rejects_wrong_types_by_field(self, doc, message):
+        with pytest.raises(protocols.ProtocolError) as err:
+            protocols.params_from_json(json.dumps(doc))
+        assert str(err.value).startswith(message)
 
     @given(st.lists(probs, min_size=1, max_size=6))
     def test_round_trip_random_multiherald(self, plist):
