@@ -22,13 +22,14 @@ unit and latency in time units.
 A sweep is columnar from spec to CSV. _SweepPlan builds the grid once, as a
 (points x varied) array in itertools.product order, and from it one float
 column per protocol slot (aliases and fixed values resolved once), in the
-slot-row order of the protocol's chain builder (see protocols). It checks
+slot order that protocols names through the params' slot_names. It checks
 every column at once; if a point fails, the first failing point is rebuilt
 through its own check (the params constructor, or _nested_point), so the
 error is the one that point raises alone. Each block of points then passes
 its rows to the protocol's builder as one stack, with no params object per
-point, and the CSV rows come from one float table per block. compare and
-simulate evaluate a one-row block the same way, from their params' .row.
+point; every chain metric, exact_var included, is one column of that stack,
+and the CSV rows come from one float table per block. compare and simulate
+evaluate a one-row block the same way, from their params' .row.
 analyze builds its chain from one params object through build_chain. The
 argparse parser is built on the first main call and reused by later calls
 in the same process.
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -229,34 +229,19 @@ class _Block:
 
     def __init__(self, protocol: str, rows, tau: float = 1.0):
         self.protocol, self.rows, self.tau = protocol, rows, tau
-        self._chain = self._latency = None
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
+    @functools.cached_property
     def chain(self) -> protocols.ProtocolChain:
-        if self._chain is None:
-            self._chain = _PROTOCOLS[self.protocol].chain(self.rows, self.tau)
-        return self._chain
+        return _PROTOCOLS[self.protocol].chain(self.rows, self.tau)
 
-    @property
+    @functools.cached_property
     def latency(self) -> estimators.LatencyEstimate:
-        if self._latency is None:
-            self._latency = estimators.estimate_latency(self.chain)
-        return self._latency
+        return estimators.estimate_latency(self.chain)
 
     def simulate(self, i: int, config: simulator.SimConfig) -> simulator.SimulationResult:
         if self.protocol == "nested":
             return simulator.simulate_nested(*self.rows[i], config)
         return simulator.simulate_chain(self.chain.point(i), config)
-
-
-def _exact_var(block: _Block, plan) -> list[float]:
-    # the rate checks of naive_var first, from the block's one equilibrium solve
-    estimators.estimate_throughput(block.chain, plan.horizon)
-    return [estimators.exact_throughput_variance(block.chain.point(i), plan.horizon)
-            for i in range(len(block))]
 
 
 def _nested(method: str):
@@ -265,9 +250,8 @@ def _nested(method: str):
 
 # metric -> (the sweep protocols it applies to, its values at a block b given
 # the sweep plan, one per target, its row in compare or None); the module
-# docstring has units. Each chain metric but exact_var is one column of the
-# block's stacked chain; exact_var, nested_* and simulated_mean go target by
-# target.
+# docstring has units. Each chain metric is one column of the block's stacked
+# chain; nested_* and simulated_mean go target by target.
 _CHAIN = protocols.PROTOCOL_NAMES
 _METRICS = {
     "equilibrium": (_CHAIN, lambda b, plan: b.chain.equilibrium[:, b.chain.success_state],
@@ -277,11 +261,12 @@ _METRICS = {
         _CHAIN, lambda b, plan: np.sqrt(b.latency.variance) / b.latency.mean, None),
     "naive_var": (_CHAIN, lambda b, plan: estimators.estimate_throughput(
         b.chain, plan.horizon).naive_variance, None),
-    "exact_var": (_CHAIN, _exact_var, None),
+    "exact_var": (_CHAIN, lambda b, plan: estimators.exact_throughput_variance(
+        b.chain, plan.horizon), None),
     "nested_type1": (("nested",), _nested("type1"), "nested_type1_rate"),
     "nested_type2": (("nested",), _nested("type2"), "nested_type2_rate"),
     "simulated_mean": ((*_CHAIN, "nested"), lambda b, plan: [
-        b.simulate(i, plan.sim_config).mean_throughput for i in range(len(b))], None),
+        b.simulate(i, plan.sim_config).mean_throughput for i in range(len(b.rows))], None),
 }
 
 
@@ -301,6 +286,7 @@ def _csv_lines(table: np.ndarray) -> list[str]:
 # ------------------------------------------------------------------- sweep
 
 def _multiherald_aliases(prob_names, fixed):
+    """The aliases and the slot names of a multiherald sweep, whose names fix n."""
     if "p" in prob_names:
         if len(prob_names) > 1:
             raise CliValidationError(
@@ -308,22 +294,21 @@ def _multiherald_aliases(prob_names, fixed):
         n = fixed.get("n")
         if n is None:
             raise CliValidationError("tied 'p' needs fixed_params entry 'n'")
-        n = _require_int("fixed_params.n", n, 1)
-        return {"p": tuple(f"p{i}" for i in range(1, n + 1))}
+        slots = protocols.MultiHeraldParams.slot_names(_require_int("fixed_params.n", n, 1))
+        return {"p": slots}, slots
     if "n" in fixed:
         raise CliValidationError("fixed_params 'n' only applies with the tied 'p' alias")
-    indices = []
     for name in prob_names:
         if not (name.startswith("p") and name[1:].isdigit() and not name[1:].startswith("0")):
             raise CliValidationError(f"unknown multiherald parameter {name!r}")
-        indices.append(int(name[1:]))
-    if not indices:
+    if not prob_names:
         raise CliValidationError("multiherald sweep names no round probabilities")
-    n = max(indices)
-    if sorted(indices) != list(range(1, n + 1)):
+    # the names are distinct (checked before), so they cover p1..pn if there are n
+    slots = protocols.MultiHeraldParams.slot_names(max(int(name[1:]) for name in prob_names))
+    if len(slots) != len(prob_names):
         raise CliValidationError(
-            f"round probabilities must cover p1..p{n} with no gaps or repeats")
-    return {f"p{i}": (f"p{i}",) for i in range(1, n + 1)}
+            f"round probabilities must cover p1..p{len(slots)} with no gaps or repeats")
+    return {slot: (slot,) for slot in slots}, slots
 
 
 def _nested_point(row, tau) -> None:
@@ -354,10 +339,12 @@ def _probability_bad(rows: np.ndarray, tau) -> np.ndarray:
 class _Protocol(NamedTuple):
     """A sweep protocol's parameters and how its grid points are checked and built."""
 
-    # parameter name -> the slots it sets, or a function of (names, fixed_params)
-    # giving that; the slots' order of first appearance is the column order of rows,
-    # which is the slot-row order of the chain builder and of the params' .row
+    # parameter name -> the slots it sets; or, where the names fix the slot
+    # count, a function of (names, fixed_params) giving that and the slots
     aliases: dict | Callable
+    # the slot names in the order of the params' .row (see protocols), which
+    # is the column order of rows; None where aliases is a function
+    slots: tuple | None
     # (rows, fixed_params' tau or None) -> mask of the points that point() rejects
     bad: Callable
     # (one row as floats, tau) -> that point's own check: the params constructor
@@ -368,20 +355,22 @@ class _Protocol(NamedTuple):
 
 _PROTOCOLS = {
     "multiherald": _Protocol(
-        _multiherald_aliases, _probability_bad,
+        _multiherald_aliases, None, _probability_bad,
         lambda row, tau: protocols.MultiHeraldParams(tuple(row)),
         protocols.multiheralded_chain),
     "shs": _Protocol(
         {"pl": ("pl",), "pr": ("pr",), "ps": ("ps",), "p": ("pl", "pr")},
-        _probability_bad, lambda row, tau: protocols.TwoLinkParams.from_row(row),
+        protocols.TwoLinkParams.slot_names(1), _probability_bad,
+        lambda row, tau: protocols.TwoLinkParams.from_row(row),
         protocols.two_link_chain),
     "dhs": _Protocol(
         {"pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",), "ps": ("ps",),
          "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"), "pl": ("pl1", "pl2"),
          "pr": ("pr1", "pr2"), "p": ("pl1", "pl2", "pr1", "pr2")},
-        _probability_bad, lambda row, tau: protocols.TwoLinkParams.from_row(row),
+        protocols.TwoLinkParams.slot_names(2), _probability_bad,
+        lambda row, tau: protocols.TwoLinkParams.from_row(row),
         protocols.two_link_chain),
-    "nested": _Protocol({"k": ("k",), "p": ("p",)}, _nested_bad, _nested_point, None),
+    "nested": _Protocol({"k": ("k",), "p": ("p",)}, ("k", "p"), _nested_bad, _nested_point, None),
 }
 
 
@@ -439,12 +428,13 @@ class _SweepPlan:
             raise CliValidationError("a parameter name appears more than once")
 
         protocol = _PROTOCOLS[self.protocol]
-        aliases = protocol.aliases
-        if callable(aliases):
-            aliases = aliases(prob_names, fixed)
+        if callable(protocol.aliases):
+            aliases, slots = protocol.aliases(prob_names, fixed)
         elif "n" in fixed:
             raise CliValidationError(
                 f"fixed_params 'n' does not apply to protocol {self.protocol!r}")
+        else:
+            aliases, slots = protocol.aliases, protocol.slots
 
         slot_owner = {}
         for name in prob_names:
@@ -456,7 +446,7 @@ class _SweepPlan:
                     raise CliValidationError(
                         f"parameters {slot_owner[slot]!r} and {name!r} both set {slot!r}")
                 slot_owner[slot] = name
-        uncovered = set().union(*aliases.values()) - set(slot_owner)
+        uncovered = set(slots) - set(slot_owner)
         if uncovered:
             raise CliValidationError(f"parameters not set: {sorted(uncovered)}")
 
@@ -477,7 +467,7 @@ class _SweepPlan:
                     "fixed_params.trajectories", fixed.get("trajectories", 1_000), 1),
             )
 
-        tau = float(fixed["tau"]) if "tau" in fixed else None
+        tau = protocols._real("fixed_params.tau", fixed["tau"]) if "tau" in fixed else None
         # column j repeats each value of axis j once per point of the later
         # axes, and the whole axis once per point of the earlier ones
         sizes = [len(axis) for _, axis in self.varied]
@@ -486,8 +476,8 @@ class _SweepPlan:
             self.grid[:, j] = np.tile(np.repeat(axis, math.prod(sizes[j + 1:])),
                                       math.prod(sizes[:j]))
         values = {name: column for (name, _), column in zip(self.varied, self.grid.T)}
-        values.update({name: float(value) for name, value in fixed_probs.items()})
-        slots = list(dict.fromkeys(itertools.chain(*aliases.values())))
+        values.update({name: protocols._real(f"fixed_params.{name}", value)
+                       for name, value in fixed_probs.items()})
         rows = np.empty((len(self.grid), len(slots)))
         for name, value in values.items():
             for slot in aliases[name]:

@@ -2,14 +2,13 @@
 
 Rates come from the success-state equilibrium probability; latency moments
 come from first-hitting-time analysis. The finite-horizon throughput
-variance is available in two flavors: estimate_throughput gives the naive
-binomial form that ignores step-to-step correlations, next to the rate, and
-exact_throughput_variance the exact form that accumulates the full
-covariance double sum over the horizon. The nested estimators extrapolate
-two-link results to 2^k-link chains by feeding rates back in as effective
-link probabilities of the shs closed form. The rate, the naive variance and
-the latency moments are elementwise, so a stacked chain (see protocols) gets
-one value per point; the exact variance takes one chain.
+variance comes in two flavors: estimate_throughput gives the naive binomial
+form that ignores step-to-step correlations, next to the rate, and
+exact_throughput_variance the exact one, from one block-matrix power. The
+nested estimators extrapolate two-link results to 2^k-link chains by
+feeding rates back in as effective link probabilities of the shs closed
+form. All chain estimates take a stacked chain (see protocols) and give one
+value per point.
 """
 from __future__ import annotations
 
@@ -110,54 +109,52 @@ class NestedEstimate:
         return bool(self.clamp_events)
 
 
-def _visit_probability_sequences(rows: np.ndarray, start: int, success: int,
-                                 N: int) -> tuple[np.ndarray, np.ndarray]:
-    """a[k-1] = (P^k)[start, success] and b[k-1] = (P^k)[success, success]."""
-    n = rows.shape[0]
-    v = np.zeros((2, n))
-    v[0, start] = 1.0
-    v[1, success] = 1.0
-    buf = np.empty_like(v)
-    a = np.empty(N)
-    b = np.empty(N)
-    for k in range(N):
-        np.dot(v, rows, out=buf)
-        v, buf = buf, v
-        a[k] = v[0, success]
-        b[k] = v[1, success]
-    return a, b
+# exact_throughput_variance takes the matrix power in slices of at most this
+# many bytes of block matrices, so its memory (about four slices) stays bounded
+_POWER_SLICE_BYTES = 1 << 23
 
 
-def exact_throughput_variance(chain: ProtocolChain, N: int) -> float:
+def _start_row_sums(rows: np.ndarray, f: np.ndarray, start: int, N: int) -> np.ndarray:
+    """Sums of the start row of M^N over each n-column block, for stacks rows and f."""
+    k, n = f.shape
+    m = np.zeros((k, 3, n, 3, n))
+    for i in range(3):
+        m[:, i, :, i] = rows
+    m[:, 0, :, 1] = m[:, 1, :, 2] = rows * f[:, None, :]
+    power = np.linalg.matrix_power(m.reshape(k, 3 * n, 3 * n), N)
+    return power[:, start].reshape(k, 3, n).sum(axis=-1)
+
+
+def exact_throughput_variance(chain: ProtocolChain, N: int) -> float | np.ndarray:
     """Exact variance of the N-step success rate from the start state.
 
-    Accumulates the covariance double sum over ordered step pairs plus the
-    per-step Bernoulli terms, using only the two scalar visit-probability
-    sequences (O(N n^2) work, O(N) memory):
+    With f = 1_success - pi_s (pi_s from the chain's cached equilibrium),
+    S1 = sum_t E f(X_t) and S2 = sum_{t<u} E f(X_t) f(X_u) over steps 1..N:
 
-        N^2 tau^2 Var = sum_k a_k (1 - a_k)
-                        + 2 sum_{k<l} (b_{l-k} - a_l) a_k
+        N^2 tau^2 Var = (1 - 2 pi_s) S1 + N pi_s (1 - pi_s) + 2 S2 - S1^2.
+
+    M is the 3n x 3n block upper-triangular matrix with diagonal blocks P
+    and superdiagonal blocks P diag(f); S1 and S2 are the sums of blocks
+    (0, 1) and (0, 2) of M^N's start row. Each sum is O(N), so nothing
+    cancels. A stacked chain gives one value per point.
 
     Raises:
-        ValueError: the chain is a stack of chains; take one with chain.point(i).
-        ArgumentRangeError: the variance came out below -1e-12.
+        ArgumentRangeError: N < 1, or a variance came out below -1e-12.
+        HorizonError: N exceeds HORIZON_CAP.
+        markov.SingularSystemError: the chain has no unique equilibrium.
     """
-    rows = chain.matrix.rows
-    if rows.ndim != 2:
-        raise ValueError(f"exact_throughput_variance takes one chain, not a stack {rows.shape}")
-    a, b = _visit_probability_sequences(rows, chain.start_state, chain.success_state, N)
-    single = float(np.sum(a * (1.0 - a)))
-    # sum_{k<l} (b_{l-k} - a_l) a_k = sum_k a_k [B_{N-k} - (S_N - S_k)]
-    acc_b = np.cumsum(b)
-    acc_a = np.cumsum(a)
-    if N > 1:
-        head = a[: N - 1]
-        cross = float(np.sum(head * (acc_b[: N - 1][::-1] - acc_a[-1] + acc_a[: N - 1])))
-    else:
-        cross = 0.0
-    var = (single + 2.0 * cross) / (N**2 * chain.tau**2)
-    if var < -1e-12:
-        raise ArgumentRangeError("exact_variance", var, ">= -1e-12")
+    check_horizon(N)
+    n = chain.n
+    pi = chain.equilibrium[..., chain.success_state]
+    rows = chain.matrix.rows.reshape(-1, n, n)
+    f = ((np.arange(n) == chain.success_state) - pi[..., None]).reshape(-1, n)
+    step = max(1, _POWER_SLICE_BYTES // (9 * n * n * rows.itemsize))
+    slices = [slice(lo, lo + step) for lo in range(0, len(rows), step)]
+    sums = np.concatenate([_start_row_sums(rows[s], f[s], chain.start_state, N) for s in slices])
+    s1, s2 = sums[:, 1].reshape(np.shape(pi)), sums[:, 2].reshape(np.shape(pi))
+    var = ((1.0 - 2.0 * pi) * s1 + N * pi * (1.0 - pi) + 2.0 * s2 - s1 * s1) \
+        / (N**2 * chain.tau**2)
+    _reject("exact_variance", var, var < -1e-12, ">= -1e-12")
     return var
 
 

@@ -22,8 +22,9 @@ from the round count. A stack of rows gives one chain whose matrix stacks
 the points' matrices, so a sweep builds and solves all of its points
 together (see markov) with no params object per point. A params object
 checks one point in its constructor and gives its slot row as .row
-(TwoLinkParams.from_row reads one back); build_chain passes that row to its
-family's builder. Only this module knows the slot layout.
+(TwoLinkParams.from_row reads one back) and the names of its slots as
+slot_names; build_chain passes the row to its family's builder. Only this
+module knows the slot layout.
 
 The success-state row always equals the failure-state row: after delivering
 a pair the protocol restarts exactly as after a failure. Closed-form results
@@ -107,6 +108,11 @@ class MultiHeraldParams:
         """The slot row multiheralded_chain takes: the round probs."""
         return self.round_probs
 
+    @staticmethod
+    def slot_names(n: int) -> tuple[str, ...]:
+        """The names of .row's n slots: p1..pn."""
+        return tuple(f"p{i}" for i in range(1, n + 1))
+
 
 @dataclass(frozen=True)
 class TwoLinkParams:
@@ -136,6 +142,12 @@ class TwoLinkParams:
     def row(self) -> tuple[float, ...]:
         """The slot row two_link_chain takes: left round probs, right round probs, swap prob."""
         return self.left_probs + self.right_probs + (self.swap_prob,)
+
+    @staticmethod
+    def slot_names(r: int) -> tuple[str, ...]:
+        """The names of .row's 2r + 1 slots: pl, pr, ps at r = 1, else pl1..plr, pr1..prr, ps."""
+        rounds = [""] if r == 1 else [str(i) for i in range(1, r + 1)]
+        return tuple(f"{side}{i}" for side in ("pl", "pr") for i in rounds) + ("ps",)
 
     @classmethod
     def from_row(cls, row) -> "TwoLinkParams":

@@ -1,12 +1,16 @@
 """Independent brute-force oracles the fast implementations are tested against.
 
 Everything here works directly on the transition matrix with explicit path
-summation or dense matrix powers, deliberately avoiding the fundamental
-matrix algebra and the prefix-sum tricks used by the package. The nested
-engine's oracle steps its process one time slot at a time instead.
+summation, dense matrix powers or step-by-step visit probabilities in
+high-precision decimal arithmetic, deliberately avoiding the block-matrix
+power and the stacked solves used by the package. The asymptotic variance
+comes from the Kemeny-Snell fundamental matrix, which the package never
+forms. The nested engine's oracle steps its process one time slot at a
+time instead.
 """
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -93,6 +97,68 @@ def finite_horizon_variance_bruteforce(rows, start: int, success: int,
     cross = sum(a[k] * (b[l - k] - a[l])
                 for k in range(1, N + 1) for l in range(k + 1, N + 1))
     return (single + 2.0 * cross) / (N**2 * tau**2)
+
+
+def finite_horizon_variance_decimal(rows, start: int, success: int, N: int,
+                                    digits: int = 45) -> float:
+    """Variance of the N-step success count over N^2, in `digits`-digit decimals.
+
+    Steps the two visit-probability sequences a_k = (P^k)[start, success]
+    and b_k = (P^k)[success, success] one step at a time and evaluates the
+    ordered-pair double sum
+
+        N^2 Var = sum_k a_k (1 - a_k) + 2 sum_{k<l} a_k (b_{l-k} - a_l)
+
+    through prefix sums. In floating point its O(N^2) terms cancel down to
+    an O(N) result and lose digits; at 45 digits the loss costs nothing. The
+    float rows are read exactly and each is rescaled to sum to 1, so that an
+    ulp of row-sum error does not compound over N steps. Returns the
+    variance of the per-step rate (tau = 1) as a float.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        P = [[decimal.Decimal(float(x)) for x in row] for row in np.asarray(rows, dtype=float)]
+        P = [[x / sum(row) for x in row] for row in P]
+        n = len(P)
+        # (i, j, P_ij) over the nonzero entries only
+        entries = [(i, j, P[i][j]) for i in range(n) for j in range(n) if P[i][j]]
+        zero = decimal.Decimal(0)
+        u = [zero] * n
+        v = [zero] * n
+        u[start] = v[success] = decimal.Decimal(1)
+        a, b = [], []
+        for _ in range(N):
+            nu, nv = [zero] * n, [zero] * n
+            for i, j, p in entries:
+                nu[j] += u[i] * p
+                nv[j] += v[i] * p
+            u, v = nu, nv
+            a.append(u[success])
+            b.append(v[success])
+        single = sum(ak * (1 - ak) for ak in a)
+        # sum_{l>k} (b_{l-k} - a_l) = B_{N-k} - (A_N - A_k), with A, B the prefix sums
+        acc_a, acc_b = [zero], [zero]
+        for ak, bk in zip(a, b):
+            acc_a.append(acc_a[-1] + ak)
+            acc_b.append(acc_b[-1] + bk)
+        cross = sum(a[k - 1] * (acc_b[N - k] - acc_a[N] + acc_a[k]) for k in range(1, N + 1))
+        return float((single + 2 * cross) / (N * N))
+
+
+def asymptotic_variance_kemeny_snell(rows, success: int) -> float:
+    """sigma^2 = lim Var(count over N steps) / N, from the fundamental matrix.
+
+    sigma^2 = pi_s (1 - pi_s) + 2 pi_s (Z_ss - 1) with Z = (I - P + 1 pi)^-1
+    (Kemeny & Snell, Finite Markov Chains, 4.6); pi = 1^T (I - P + E)^-1,
+    where E is the all-ones matrix, needs the chain to be ergodic.
+    """
+    P = np.asarray(rows, dtype=float)
+    n = P.shape[0]
+    eye = np.eye(n)
+    pi = np.linalg.solve((eye - P + 1.0).T, np.ones(n))
+    Z = np.linalg.inv(eye - P + np.outer(np.ones(n), pi))
+    ps = pi[success]
+    return float(ps * (1.0 - ps) + 2.0 * ps * (Z[success, success] - 1.0))
 
 
 def visit_count_moments_by_path_enumeration(rows, start: int, success: int, N: int):

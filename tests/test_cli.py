@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,18 +61,18 @@ GOLDEN_COMPARE_ARGV = {
 # sha256 of each output above: a change to any metric's arithmetic, to the
 # grid order or to the CSV format fails here
 GOLDEN_SWEEP_DIGESTS = {
-    "multiherald": "09f65ed362ec2dfb0a37c874b9a6cb7d1d8201c26f05f7a0e4e4bb0ff5e47313",
-    "shs": "503a8e2b447a010aca1711ffe2234cfa0f6daeec4ac201ddec264170212a7677",
-    "dhs": "964a740cade4b75ff06d85a9a9105aeff69b24a61c9f30f19df9c7c068c5cfa9",
+    "multiherald": "5a3d3edbeffba239270e44679aaf2724b8afd3f5732da0d9a6ccdf3822144da9",
+    "shs": "e4bd30db857bff40bdcd39041bc8215c192e3f7b9bd56a1fc82c86bb976e84cb",
+    "dhs": "01736fc8c3210a5e25ff67c2af46dacaeb297543acf53434d1fb832b3588466e",
     "nested": "0c5f76dd6f2c09fa7de44cd3a36bb95fe001d7549e623df83a362143eeb20e2b",
 }
-# sha256 of the CSV of each figure spec that neither simulates nor asks for
-# exact_var: whole 19 x 19 surfaces, so a change to the stacked evaluation of
-# any point fails here
+# sha256 of the CSV of each figure spec that does not simulate: whole
+# 19 x 19 surfaces, so a change to the stacked evaluation of any point fails here
 FIGURE_DIGESTS = {
     "bkp_equilibrium_surface": "5f6140d8fc72afe9fadabfbd8c980fb8b10a6459c60d6773ea3b9bf4e9ec780b",
     "bkp_latency_mean": "473dd5ffcbaf2dcf767beb77e7d44e425a24124ff39ea03f560f2b23fb56ac8e",
     "bkp_latency_spread": "34daeb26fc16591c5a6350b4c0c732b0546846c5325ed0f2c812f72e0ab803d1",
+    "bkp_throughput_variance": "c9c1fa25f24cd57816c1212d910c97c69147ef0d869b4aabc121423696e71143",
     "dhs_equilibrium_by_link": "6ebde2b299ddd181d1b597857451b7e37101d874f162d0af06711ca71887a6f4",
     "dhs_equilibrium_by_round": "c7ad3f2c0ec477d4d918a599f2a50b0fc94ceee6c3a81512bba28d5807b25d4e",
     "dhs_latency_spread_by_link": "2d9e971f7adba959dd4fcbc0033af32e938f4ed9d2ee3a15363b12a68061d30a",
@@ -96,11 +97,11 @@ GOLDEN_ANALYZE_ARGV = {
 PARAMS_JSON_TEXT = json.dumps({"protocol": "dhs", "left_probs": [0.35, 0.8],
                                "right_probs": [0.6, 0.45], "swap_prob": 0.75, "tau": 0.5})
 GOLDEN_ANALYZE_DIGESTS = {
-    "multiherald": "f0f16d0617995ffd5148b6d00749d9967a06b2a4e473d13a7beb936f8a7df542",
-    "shs": "938fc52caa789184f6bc1d5d6815f9946d57f0188b2b8f10e44e3667e36ebbc4",
-    "dhs": "16268ab21ac0695e050948c2bcc7b09031be65aa5dd47e30836ef00c6f7ed461",
+    "multiherald": "57e63d63919cd224cb2f840f4e994e2c0dadbe1c025c693127dbe87b95b26125",
+    "shs": "fefbbeb40faa052cbf6e226a2681470d7efddf6ec1f48cee88d5b03519f7599e",
+    "dhs": "9fcbcc7bc5d23c0f8c53357cb2064027c4c6301ad9101e1080e5fb08139da1ce",
     "naive": "5eaadc5e26f33036d58a5fd34c694066e7d4321cdf907d3b42ac4ffe2c185004",
-    "params_json": "b1b3bea028a7cf6a504213e9fd52501b0b9741db62f75a3108cbaaffc4947aad",
+    "params_json": "a41d27f58d9a7b0c6d1fa8a9d048538018016b62974206d3323df220e21d7efc",
 }
 GOLDEN_COMPARE_DIGESTS = {
     "chain": "0c9c0cb2acea0e691aaddabce1165a2ea9cfaf8ff7c837fbe1e4c5f0eb1a04ed",
@@ -508,13 +509,26 @@ class TestSweep:
         ({"protocol": "shs",
           "varied_params": [{"name": "p", "start": 0.5, "stop": 0.6, "count": 2}],
           "fixed_params": {"ps": "abc"}, "outputs": ["equilibrium"]},
-         lambda: float("abc")),
+         lambda: protocols._real("fixed_params.ps", "abc")),
         ({"protocol": "multiherald",
           "varied_params": [{"name": "p1", "start": 0.5, "stop": 0.6, "count": 2}],
           "fixed_params": {"p2": [0.5]}, "outputs": ["equilibrium"]},
-         lambda: float([0.5])),
+         lambda: protocols._real("fixed_params.p2", [0.5])),
+        ({"protocol": "shs",
+          "varied_params": [{"name": "p", "start": 0.5, "stop": 0.6, "count": 2}],
+          "fixed_params": {"ps": True}, "outputs": ["equilibrium"]},
+         lambda: protocols._real("fixed_params.ps", True)),
+        ({"protocol": "dhs",
+          "varied_params": [{"name": "p", "start": 0.5, "stop": 0.6, "count": 2}],
+          "fixed_params": {"ps": "0.5"}, "outputs": ["equilibrium"]},
+         lambda: protocols._real("fixed_params.ps", "0.5")),
+        ({"protocol": "shs",
+          "varied_params": [{"name": "p", "start": 0.5, "stop": 0.6, "count": 2}],
+          "fixed_params": {"ps": 0.9, "tau": "2"}, "outputs": ["equilibrium"]},
+         lambda: protocols._real("fixed_params.tau", "2")),
     ], ids=["multiherald", "shs", "dhs", "dhs-fixed-nan", "nested-k", "nested-p",
-            "fixed-string", "fixed-list"])
+            "fixed-string", "fixed-list", "fixed-bool", "fixed-numeric-string",
+            "fixed-tau-string"])
     def test_bad_point_raises_its_own_error(self, capsys, tmp_path, payload, point):
         # the sweep reports the first bad grid point's error exactly as that
         # point's own check raises it
@@ -656,6 +670,32 @@ class TestSweep:
                 assert run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))[0] == 0
                 outputs.append(dest.read_bytes())
             assert outputs[0] == outputs[1], name
+
+    def test_exact_var_memory_stays_bounded(self, capsys, tmp_path):
+        # n = 60 tied rounds make 61 states, so one point's 183 x 183 block
+        # matrix takes 268 kB: raised to a power all at once, the 100 points of
+        # this block would hold about 13 slice budgets
+        spec = self.write_spec(tmp_path, {
+            "protocol": "multiherald",
+            "varied_params": [{"name": "p", "start": 0.9, "stop": 0.99, "count": 100}],
+            "fixed_params": {"n": 60, "horizon": 7},
+            "outputs": ["exact_var"],
+        })
+        dest = tmp_path / "large.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 5 * estimators._POWER_SLICE_BYTES
+        # the slices give each point its own value
+        lines = dest.read_text().splitlines()[1:]
+        for line in (lines[0], lines[50], lines[-1]):
+            p, value = map(float, line.split(","))
+            chain = protocols.build_chain(protocols.MultiHeraldParams((p,) * 60))
+            assert value == estimators.exact_throughput_variance(chain, 7)
 
     def test_zero_varied_params_gives_single_row(self, capsys, tmp_path):
         spec = self.write_spec(tmp_path, {

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from repeaterlab import estimators, markov, protocols
 from repeaterlab.protocols import MultiHeraldParams, TwoLinkParams, build_chain
 from oracles import (
+    asymptotic_variance_kemeny_snell,
     finite_horizon_variance_bruteforce,
+    finite_horizon_variance_decimal,
     visit_count_moments_by_path_enumeration,
 )
 
@@ -52,6 +54,25 @@ class TestThroughput:
             == pytest.approx(mean_count / N, rel=1e-12)
         assert estimators.exact_throughput_variance(chain, N) \
             == pytest.approx(var_count / N**2, rel=1e-12)
+
+    @pytest.mark.parametrize("p1,p2", [(0.95, 0.95), (0.5, 0.5)])
+    def test_exact_variance_matches_decimal_reference(self, p1, p2):
+        # at N = 1e5 the ordered-pair double sum cancels O(N^2) terms down to
+        # O(N); evaluated in 45-digit decimals it is the reference to 1e-9
+        N = 100_000
+        chain = bkp(p1, p2)
+        ref = finite_horizon_variance_decimal(chain.matrix.rows, 0, 2, N)
+        got = estimators.exact_throughput_variance(chain, N)
+        assert got == pytest.approx(ref, rel=1e-9, abs=0)
+
+    def test_exact_variance_approaches_kemeny_snell(self):
+        # N tau^2 Var = sigma^2 + c / N up to terms that decay geometrically,
+        # so N (N tau^2 Var - sigma^2) reads the same c at both horizons
+        chain = bkp(0.3, 0.8)
+        sigma2 = asymptotic_variance_kemeny_snell(chain.matrix.rows, 2)
+        c = [N * (N * estimators.exact_throughput_variance(chain, N) - sigma2)
+             for N in (10_000, 100_000)]
+        assert c[1] == pytest.approx(c[0], rel=1e-5)
 
     def test_exact_variance_scales_with_tau(self):
         a = estimators.exact_throughput_variance(bkp(0.4, 0.6, tau=1.0), 40)
@@ -166,19 +187,3 @@ class TestNested:
         # failure, not a rejected argument
         with pytest.raises(FloatingPointError, match="level 1 underflowed"):
             estimators.nested_throughput(1e-150, k, method)
-
-
-class TestVisitSequences:
-    def test_against_matrix_powers(self):
-        chain = build_chain(TwoLinkParams((0.3, 0.8), (0.6, 0.5), 0.7))
-        P = np.asarray(chain.matrix.rows)
-        N = 40
-        a, b = estimators._visit_probability_sequences(
-            P, chain.start_state, chain.success_state, N)
-        assert len(a) == len(b) == N
-        for k in range(1, N + 1):  # a[k-1] holds the k-step probability
-            Pk = np.linalg.matrix_power(P, k)
-            assert a[k - 1] == pytest.approx(
-                Pk[chain.start_state, chain.success_state], abs=1e-14)
-            assert b[k - 1] == pytest.approx(
-                Pk[chain.success_state, chain.success_state], abs=1e-14)
