@@ -28,8 +28,11 @@ through its own check (the params constructor, or _nested_point), so the
 error is the one that point raises alone. Each block of points then passes
 its rows to the protocol's builder as one stack, with no params object per
 point; every chain metric, exact_var included, is one column of that stack,
-and the CSV rows come from one float table per block. compare and simulate
-evaluate a one-row block the same way, from their params' .row.
+and the CSV rows come from one float table per block. A nested block's
+simulated_mean is one simulate_nested call over all its targets, one pass
+over the shared trajectory streams; a chain block walks one chain per
+target. compare and simulate evaluate a one-row block the same way, from
+their params' .row.
 analyze builds its chain from one params object through build_chain. The
 argparse parser is built on the first main call and reused by later calls
 in the same process.
@@ -238,10 +241,13 @@ class _Block:
     def latency(self) -> estimators.LatencyEstimate:
         return estimators.estimate_latency(self.chain)
 
-    def simulate(self, i: int, config: simulator.SimConfig) -> simulator.SimulationResult:
+    def simulate(self, config: simulator.SimConfig) -> list[simulator.SimulationResult]:
+        """One result per target: a nested block in one stacked call sharing
+        its streams, a chain block one walk per target."""
         if self.protocol == "nested":
-            return simulator.simulate_nested(*self.rows[i], config)
-        return simulator.simulate_chain(self.chain.point(i), config)
+            return simulator.simulate_nested(self.rows, config)
+        return [simulator.simulate_chain(self.chain.point(i), config)
+                for i in range(len(self.rows))]
 
 
 def _nested(method: str):
@@ -251,7 +257,7 @@ def _nested(method: str):
 # metric -> (the sweep protocols it applies to, its values at a block b given
 # the sweep plan, one per target, its row in compare or None); the module
 # docstring has units. Each chain metric is one column of the block's stacked
-# chain; nested_* and simulated_mean go target by target.
+# chain; nested_* go target by target, and simulated_mean through _Block.simulate.
 _CHAIN = protocols.PROTOCOL_NAMES
 _METRICS = {
     "equilibrium": (_CHAIN, lambda b, plan: b.chain.equilibrium[:, b.chain.success_state],
@@ -266,7 +272,7 @@ _METRICS = {
     "nested_type1": (("nested",), _nested("type1"), "nested_type1_rate"),
     "nested_type2": (("nested",), _nested("type2"), "nested_type2_rate"),
     "simulated_mean": ((*_CHAIN, "nested"), lambda b, plan: [
-        b.simulate(i, plan.sim_config).mean_throughput for i in range(len(b.rows))], None),
+        result.mean_throughput for result in b.simulate(plan.sim_config)], None),
 }
 
 
@@ -417,7 +423,8 @@ class _SweepPlan:
             if name in _RESERVED_FIXED:
                 raise CliValidationError(f"{name!r} may only appear in fixed_params")
             count = _require_int(f"count for {name!r}", entry["count"], 2)
-            start, stop = float(entry["start"]), float(entry["stop"])
+            start, stop = (protocols._real(f"{bound} for {name!r}", entry[bound])
+                           for bound in ("start", "stop"))
             if not (math.isfinite(start) and math.isfinite(stop)):
                 raise CliValidationError(f"non-finite grid bounds for {name!r}")
             self.varied.append((name, np.linspace(start, stop, count)))
@@ -558,7 +565,7 @@ def cmd_simulate(args) -> int:
     else:
         target = {"kind": "chain", "protocol": block.protocol,
                   "params": json.loads(protocols.params_to_json(params, block.tau))}
-    result = block.simulate(0, _sim_config_from_args(args))
+    result, = block.simulate(_sim_config_from_args(args))
     if args.csv_out is not None:
         lines = ["trajectory_index,success_count"]
         lines += [f"{i},{count}" for i, count in enumerate(result.success_counts)]
@@ -590,7 +597,7 @@ def cmd_compare(args) -> int:
     # compare rows read no sweep settings, so they get no plan
     analytical = [(row, value(block, None)[0]) for applies, value, row in _METRICS.values()
                   if row is not None and block.protocol in applies]
-    result = block.simulate(0, _sim_config_from_args(args))
+    result, = block.simulate(_sim_config_from_args(args))
     simulated = result.mean_throughput
     err = result.std_error()
 

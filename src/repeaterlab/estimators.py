@@ -152,8 +152,11 @@ def exact_throughput_variance(chain: ProtocolChain, N: int) -> float | np.ndarra
     slices = [slice(lo, lo + step) for lo in range(0, len(rows), step)]
     sums = np.concatenate([_start_row_sums(rows[s], f[s], chain.start_state, N) for s in slices])
     s1, s2 = sums[:, 1].reshape(np.shape(pi)), sums[:, 2].reshape(np.shape(pi))
-    var = ((1.0 - 2.0 * pi) * s1 + N * pi * (1.0 - pi) + 2.0 * s2 - s1 * s1) \
-        / (N**2 * chain.tau**2)
+    # a tau whose square underflows gives a non-finite variance, which callers
+    # reject, not a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = ((1.0 - 2.0 * pi) * s1 + N * pi * (1.0 - pi) + 2.0 * s2 - s1 * s1) \
+            / (N**2 * chain.tau**2)
     _reject("exact_variance", var, var < -1e-12, ">= -1e-12")
     return var
 
@@ -175,7 +178,8 @@ def estimate_throughput(chain: ProtocolChain, N: int) -> ThroughputEstimate:
     """
     check_horizon(N)
     p_succ = chain.equilibrium[..., chain.success_state]
-    naive = p_succ * (1.0 - p_succ) / (N * chain.tau**2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in exact_throughput_variance
+        naive = p_succ * (1.0 - p_succ) / (N * chain.tau**2)
     return ThroughputEstimate(p_succ / chain.tau, naive, N, chain.tau)
 
 

@@ -18,9 +18,12 @@ The chain walker buckets each chunk of draws once against the merged
 breakpoints of all cumulative rows; a bucket fixes the next state from
 every state, so a step is one gather from a successor table.
 
-The nested engine steps from round to round, not slot by slot: each chunk
-of draws becomes next-success steps per link, and a round's swap tree is
-resolved by k pairwise maxima over the success steps of its links.
+The nested engine steps from round to round, not slot by slot: a round's
+top pair forms 2^k - 1 steps after the last success of its links, one
+maximum per round. A call takes many (k, p) points and draws each batch's
+streams once, in windows of whole rows of the widest point; every point
+turns its prefix of each window into next-success steps per link and
+resolves the rounds that end there.
 """
 from __future__ import annotations
 
@@ -36,8 +39,11 @@ from .protocols import ProtocolChain
 RNG_ALGORITHM = "philox"  # the bit generator of every trajectory stream
 _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 1000 is one
 _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the draw and bucket
-                      # arrays (16 bytes per draw in the walker), not the results
+                      # arrays (16 bytes per draw in the walker, 12 in the nested
+                      # engine, whose windows hold 2/3 as many draws), not the results
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
+_CARRIED_LINKS = 2**20  # link success steps (int64) that one stream pass of a nested call
+                        # carries between windows per batch; more points take more passes
 MAX_TRAJECTORIES = 2**32  # spawn keys are one 32-bit word, as _spawn_keys assumes
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -45,6 +51,7 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_ZERO_COUNTER = np.zeros(4, np.uint64)  # Philox's start counter; copied, never written
 
 
 @dataclass(frozen=True)
@@ -152,7 +159,8 @@ def _fixed_key_type() -> type:
 def _trajectory_generators(config: SimConfig, batch: range) -> list[np.random.Generator]:
     """The independent, reproducible stream of each trajectory index in batch."""
     fixed_key = _fixed_key_type()
-    return [np.random.Generator(np.random.Philox(fixed_key(key)))
+    # an explicit zero counter spares Philox its slow conversion of counter=None
+    return [np.random.Generator(np.random.Philox(fixed_key(key), counter=_ZERO_COUNTER))
             for key in _spawn_keys(config.seed, batch)]
 
 
@@ -167,7 +175,7 @@ def _draw(gens, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finish(counts: np.ndarray, config: SimConfig, t0: float) -> SimulationResult:
+def _finish(counts: np.ndarray, config: SimConfig, wall_time: float) -> SimulationResult:
     rates = counts / config.steps_per_trajectory
     var = float(rates.var(ddof=1)) if len(rates) > 1 else 0.0
     return SimulationResult(
@@ -175,7 +183,7 @@ def _finish(counts: np.ndarray, config: SimConfig, t0: float) -> SimulationResul
         mean_throughput=float(rates.mean()),
         throughput_variance=var,
         config_echo=config,
-        wall_time=time.perf_counter() - t0,
+        wall_time=wall_time,
     )
 
 
@@ -257,27 +265,112 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> SimulationResult:
 
     t0 = time.perf_counter()
     parts = [run_batch(batch) for batch in _batches(config.trajectories)]
-    return _finish(np.concatenate(parts), config, t0)
+    return _finish(np.concatenate(parts), config, time.perf_counter() - t0)
 
 
-def _next_successes(gens, csize: int, leaves: int, p: float) -> np.ndarray:
-    """Next-success steps for the next chunk of draws, int32 (batch, csize, leaves).
+def _next_successes(uniforms: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """Next-success steps of a window of uniforms (batch, csize, leaves), int32, in out.
 
-    nxt[b, t, l] is the first step >= t of the chunk, counted from its
+    nxt[b, t, l] is the first step >= t of the window, counted from its
     start, at which link l of trajectory b succeeds, or csize if none does.
+    out is a flat int32 buffer of at least uniforms.size entries.
     """
-    hit = _draw(gens, np.empty((len(gens), csize, leaves))) < p
+    csize = uniforms.shape[1]
+    nxt = out[:uniforms.size].reshape(uniforms.shape)
+    np.less(uniforms, p, out=nxt)
     # t where link l succeeds at step t, else csize
-    nxt = hit * (np.arange(csize, dtype=np.int32) - np.int32(csize))[:, None]
-    del hit
+    nxt *= (np.arange(csize, dtype=np.int32) - np.int32(csize))[:, None]
     nxt += np.int32(csize)
     backward = nxt[:, ::-1]
     np.minimum.accumulate(backward, axis=1, out=backward)
     return nxt
 
 
-def simulate_nested(k: int, p: float, config: SimConfig) -> SimulationResult:
-    """Discrete-time simulation of a 2^k-link nested swapping chain.
+_NEVER = np.iinfo(np.int64).max  # the success step of a link not yet seen to succeed
+
+
+class _Rounds:
+    """One nested point's round state over a batch: the k, p, and per trajectory
+    the first step of its current round, the success steps of that round's
+    links seen in earlier windows, and its success count."""
+
+    def __init__(self, k: int, p: float, b: int):
+        self.k, self.p = k, p
+        self.start = np.zeros(b, dtype=np.int64)
+        self.found = np.full((b, 1 << k), _NEVER)
+        self.counts = np.zeros(b, dtype=np.int64)
+
+    def advance(self, nxt: np.ndarray, lo: int, steps: int):
+        """Resolve every round that ends in the window of steps lo .. lo + nxt.shape[1].
+
+        A round's top pair forms 2^k - 1 steps after the last success of its
+        links, since every level adds the same delay on every path. Link
+        steps are counted from lo inside the loop.
+        """
+        start, found, counts = self.start, self.found, self.counts
+        b, csize, leaves = nxt.shape
+        hi = lo + csize
+        table = nxt.reshape(b * csize, leaves)  # step t of trajectory i is row i * csize + t
+        delay = np.int64(lo + (1 << self.k) - 1)
+        live = np.flatnonzero(start < hi)
+        # a round begun in an earlier window keeps the success steps seen there
+        links = np.minimum(table.take(live * csize + np.maximum(start[live] - lo, 0), axis=0),
+                           found[live] - lo)
+        found[live] = _NEVER
+        while live.size:
+            last = links.max(axis=1)
+            resolved = last < csize  # else carried into the next window
+            if not resolved.all():
+                pending = ~resolved
+                seen = links[pending]
+                found[live[pending]] = np.where(seen < csize, seen + np.int64(lo), _NEVER)
+                live, last = live[resolved], last[resolved]
+            top = last + delay
+            counts[live] += top < steps
+            start[live] = top + 1
+            live = live[top + 1 < hi]
+            links = table.take(live * csize + (start[live] - lo), axis=0)
+
+
+def _stream_passes(points, b: int) -> list[list[int]]:
+    """Runs of consecutive point indices whose carried link steps, b * 2^k
+    per point, fit in _CARRIED_LINKS; a point that alone exceeds it runs alone."""
+    runs, used = [], 0
+    for i, (k, _) in enumerate(points):
+        if not runs or used + (b << k) > _CARRIED_LINKS:
+            runs.append([])
+            used = 0
+        runs[-1].append(i)
+        used += b << k
+    return runs
+
+
+def _nested_pass(gens, rounds: list[_Rounds], steps: int):
+    """Advance every point of rounds over the first steps rows of its streams.
+
+    Draws each stream once, in windows of whole rows of the widest point;
+    point (k, p) reads the first window / 2^k rows of 2^k draws of each.
+    """
+    b = len(gens)
+    width = 1 << max(r.k for r in rounds)
+    total = steps * width
+    # a window draw costs its float64 uniform and the int32 next-success step
+    # one point at a time makes of it: 12 bytes, 1.5 draws of _CHUNK_DRAWS
+    window = min(max(1, 2 * _CHUNK_DRAWS // (3 * b * width)) * width, total)
+    draw_buf, nxt_buf = np.empty(b * window), np.empty(b * window, dtype=np.int32)
+    for lo in range(0, total, window):
+        size = min(window, total - lo)
+        uniforms = _draw(gens, draw_buf[:b * size].reshape(b, size))
+        for r in rounds:
+            first = lo >> r.k  # lo and size are whole rows of every point
+            csize = min(size >> r.k, steps - first)
+            if csize > 0:
+                rows = uniforms[:, :csize << r.k].reshape(b, csize, 1 << r.k)
+                r.advance(_next_successes(rows, r.p, nxt_buf), first, steps)
+
+
+def simulate_nested(points, config: SimConfig) -> list[SimulationResult]:
+    """Discrete-time simulation of 2^k-link nested swapping chains, one result per (k, p).
 
     Idle elementary links attempt generation with probability p per step;
     two sibling segments at level j-1 start a level-j swap that completes
@@ -288,50 +381,26 @@ def simulate_nested(k: int, p: float, config: SimConfig) -> SimulationResult:
 
     So a round starting at step s is fixed by the draws alone, and the
     engine resolves whole rounds: link l succeeds at the first step t >= s
-    with u[t, l] < p, a level-j pair forms 2^(j-1) steps after the later of
-    its two children, and the top pair forms at step T, which scores if
-    T < steps; the next round starts at T + 1. Each trajectory reads one
-    row of 2^k uniforms per step, as a slot-by-slot engine would.
+    with u[t, l] < p, and the top pair forms at step T, 2^k - 1 steps after
+    the last of them, which scores if T < steps; the next round starts at
+    T + 1. Each trajectory reads one row of 2^k uniforms per step, as a
+    slot-by-slot engine would, so point (k, p) reads the first
+    steps * 2^k draws of each stream whatever the other points are. The
+    points share one pass over each batch's streams (see _nested_pass), or
+    a few where their carried state would exceed _CARRIED_LINKS (see
+    _stream_passes). Every result reports the wall time of the whole call.
     """
-    check_nested(k, p)
-    leaves = 1 << k
+    points = list(points)
+    for k, p in points:
+        check_nested(k, p)
     steps = config.steps_per_trajectory
-    never = np.iinfo(np.int64).max
-
-    def run_batch(batch: range) -> np.ndarray:
-        gens = _trajectory_generators(config, batch)
-        b = len(gens)
-        chunk = max(1, _CHUNK_DRAWS // (b * leaves))
-        start = np.zeros(b, dtype=np.int64)  # first step of each trajectory's current round
-        found = np.full((b, leaves), never)  # success steps of its links seen in earlier chunks
-        counts = np.zeros(b, dtype=np.int64)
-        for lo in range(0, steps, chunk):
-            csize = min(chunk, steps - lo)
-            hi = lo + csize
-            nxt = _next_successes(gens, csize, leaves, p)
-            live = np.flatnonzero(start < hi)
-            carried = True
-            while live.size:
-                # success steps of this round's links, as absolute int64 steps
-                links = nxt[live, np.maximum(start[live] - lo, 0)] + np.int64(lo)
-                if carried:  # rounds begun in an earlier chunk keep their links
-                    links = np.minimum(links, found[live])
-                    found[live] = never
-                    carried = False
-                resolved = links.max(axis=1) < hi  # else carried into the next chunk
-                if not resolved.all():
-                    pending = ~resolved
-                    found[live[pending]] = np.where(links[pending] < hi, links[pending], never)
-                    live, links = live[resolved], links[resolved]
-                top = links
-                for j in range(k):
-                    top = top.reshape(len(live), leaves >> (j + 1), 2).max(axis=2) + (1 << j)
-                top = top[:, 0]
-                counts[live] += top < steps
-                start[live] = top + 1
-                live = live[top + 1 < hi]
-        return counts
-
     t0 = time.perf_counter()
-    parts = [run_batch(batch) for batch in _batches(config.trajectories)]
-    return _finish(np.concatenate(parts), config, t0)
+    counts = [[] for _ in points]
+    for batch in _batches(config.trajectories):
+        for run in _stream_passes(points, len(batch)):
+            rounds = [_Rounds(*points[i], len(batch)) for i in run]
+            _nested_pass(_trajectory_generators(config, batch), rounds, steps)
+            for i, r in zip(run, rounds):
+                counts[i].append(r.counts)
+    wall_time = time.perf_counter() - t0
+    return [_finish(np.concatenate(c), config, wall_time) for c in counts]

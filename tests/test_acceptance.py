@@ -202,8 +202,9 @@ def test_c6_nested_level_one_gate(announce, request):
     def body():
         config = simulator.SimConfig(seed=SEED, steps_per_trajectory=100_000,
                                      trajectories=200)
-        for p in (0.2, 0.5, 0.8):
-            result = simulator.simulate_nested(1, p, config)
+        p_grid = (0.2, 0.5, 0.8)
+        results = simulator.simulate_nested([(1, p) for p in p_grid], config)
+        for p, result in zip(p_grid, results):
             expect = p * (2 - p) / (3 - p * p)
             sigma = result.std_error()
             assert abs(result.mean_throughput - expect) < 3.0 * sigma, \
@@ -223,10 +224,9 @@ def test_c7_nested_qualitative(announce, request):
         # the regime of interest is hard elementary generation; at high p
         # the ignored swap overhead dominates both recursive estimates
         p_grid = (0.1, 0.2, 0.3, 0.4, 0.5)
-        sim = {}
-        for k in levels:
-            for p in p_grid:
-                sim[(k, p)] = simulator.simulate_nested(k, p, config).mean_throughput
+        points = [(k, p) for k in levels for p in p_grid]
+        sim = {point: result.mean_throughput
+               for point, result in zip(points, simulator.simulate_nested(points, config))}
         for p in p_grid:
             rates = [sim[(k, p)] for k in levels]
             assert all(a > b for a, b in zip(rates, rates[1:])), (p, rates)

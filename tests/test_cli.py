@@ -66,8 +66,9 @@ GOLDEN_SWEEP_DIGESTS = {
     "dhs": "01736fc8c3210a5e25ff67c2af46dacaeb297543acf53434d1fb832b3588466e",
     "nested": "0c5f76dd6f2c09fa7de44cd3a36bb95fe001d7549e623df83a362143eeb20e2b",
 }
-# sha256 of the CSV of each figure spec that does not simulate: whole
-# 19 x 19 surfaces, so a change to the stacked evaluation of any point fails here
+# sha256 of the CSV of each figure spec: whole 19 x 19 surfaces, so a change
+# to the stacked evaluation of any point fails here, and the nested spec's
+# simulated_mean, so a change to any of its per-trajectory counts does
 FIGURE_DIGESTS = {
     "bkp_equilibrium_surface": "5f6140d8fc72afe9fadabfbd8c980fb8b10a6459c60d6773ea3b9bf4e9ec780b",
     "bkp_latency_mean": "473dd5ffcbaf2dcf767beb77e7d44e425a24124ff39ea03f560f2b23fb56ac8e",
@@ -77,6 +78,8 @@ FIGURE_DIGESTS = {
     "dhs_equilibrium_by_round": "c7ad3f2c0ec477d4d918a599f2a50b0fc94ceee6c3a81512bba28d5807b25d4e",
     "dhs_latency_spread_by_link": "2d9e971f7adba959dd4fcbc0033af32e938f4ed9d2ee3a15363b12a68061d30a",
     "dhs_latency_spread_by_round": "6313f5dff5ccdf63bbe0c5083f1f4b9a9d8612576e3a07668e07bc1471f04870",
+    "nested_throughput_vs_estimates":
+        "bec57a77c31c4b24415fd95b6aea826afd60f392696d969fd4b1e55ee22447ce",
     "shs_equilibrium_surface": "684fccf32741f278c2b1bf96fdafc8b68c3bd67f66aa7cbbfb76fcafe8413068",
     "shs_latency_spread": "09e25ca53a8c27149317f391d3fe7dcbe27d9c830fb016178329429ff9f135f3",
 }
@@ -242,6 +245,21 @@ class TestAnalyze:
         assert "(nan)" in error["message"]
 
 
+    def test_underflowing_tau_gives_one_json_line(self):
+        # tau^2 underflows to 0, so both variances divide by zero: stderr
+        # carries the error object alone, with no numpy warning ahead of it
+        proc = subprocess.run([sys.executable, "-m", "repeaterlab", "analyze",
+                               "--protocol", "shs", "--pl", "0.5", "--pr", "0.5", "--ps", "1",
+                               "--tau", "1e-200", "--exact", "--horizon", "100"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "NumericalOutputError"
+        assert "naive_variance" in error["message"]
+
+
 class TestSimulate:
     def test_deterministic_walk_csv(self, capsys, tmp_path):
         dest = tmp_path / "counts.csv"
@@ -396,6 +414,23 @@ class TestSweep:
         k1 = lines[1].split(",")
         assert float(k1[1]) == float(k1[2])  # types coincide at level 1
 
+    def test_nested_block_builds_each_batch_once(self, capsys, tmp_path, monkeypatch):
+        # the block's points share one pass over each batch's streams
+        build, batches = simulator._trajectory_generators, []
+        monkeypatch.setattr(simulator, "_trajectory_generators",
+                            lambda config, batch: batches.append(batch) or build(config, batch))
+        spec = self.write_spec(tmp_path, {
+            "protocol": "nested",
+            "varied_params": [{"name": "k", "start": 1, "stop": 4, "count": 4},
+                              {"name": "p", "start": 0.3, "stop": 0.6, "count": 3}],
+            "fixed_params": {"steps": 30, "trajectories": 1030, "seed": 3},
+            "outputs": ["simulated_mean"],
+        })
+        dest = tmp_path / "nested.csv"
+        assert run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))[0] == 0
+        assert len(dest.read_text().splitlines()) == 1 + 4 * 3
+        assert batches == [range(0, 1024), range(1024, 1030)]
+
     def test_spec_errors_leave_no_file(self, capsys, tmp_path):
         bad_specs = [
             {"protocol": "shs",
@@ -526,9 +561,18 @@ class TestSweep:
           "varied_params": [{"name": "p", "start": 0.5, "stop": 0.6, "count": 2}],
           "fixed_params": {"ps": 0.9, "tau": "2"}, "outputs": ["equilibrium"]},
          lambda: protocols._real("fixed_params.tau", "2")),
+        # varied bounds follow the same real-number rule as fixed values
+        ({"protocol": "shs",
+          "varied_params": [{"name": "p", "start": "0.5", "stop": True, "count": 2}],
+          "fixed_params": {"ps": 1.0}, "outputs": ["equilibrium"]},
+         lambda: protocols._real("start for 'p'", "0.5")),
+        ({"protocol": "nested",
+          "varied_params": [{"name": "k", "start": 1, "stop": True, "count": 2}],
+          "fixed_params": {"p": 0.5}, "outputs": ["nested_type1"]},
+         lambda: protocols._real("stop for 'k'", True)),
     ], ids=["multiherald", "shs", "dhs", "dhs-fixed-nan", "nested-k", "nested-p",
             "fixed-string", "fixed-list", "fixed-bool", "fixed-numeric-string",
-            "fixed-tau-string"])
+            "fixed-tau-string", "varied-start-string", "varied-stop-bool"])
     def test_bad_point_raises_its_own_error(self, capsys, tmp_path, payload, point):
         # the sweep reports the first bad grid point's error exactly as that
         # point's own check raises it

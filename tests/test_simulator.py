@@ -215,34 +215,37 @@ class TestChainWalker:
 class TestNestedEngine:
     def test_argument_validation(self):
         cfg = SimConfig(seed=0, steps_per_trajectory=10, trajectories=1)
+        with pytest.raises(ArgumentRangeError):  # every point is checked before any runs
+            simulate_nested([(1, 0.5), (2, 0.0)], cfg)
         with pytest.raises(ArgumentRangeError):
-            simulate_nested(0, 0.5, cfg)
+            simulate_nested([(0, 0.5)], cfg)
         with pytest.raises(ArgumentRangeError):
-            simulate_nested(1, 0.0, cfg)
+            simulate_nested([(1, 0.0)], cfg)
         with pytest.raises(ArgumentRangeError):
-            simulate_nested(1, 1.1, cfg)
+            simulate_nested([(1, 1.1)], cfg)
         with pytest.raises(ArgumentRangeError):
-            simulate_nested(13, 0.5, cfg)  # above the cap of 2^12 links
+            simulate_nested([(13, 0.5)], cfg)  # above the cap of 2^12 links
 
     @pytest.mark.parametrize("k,cycle", [(1, 2), (2, 4), (3, 8)])
     def test_perfect_links_period(self, k, cycle):
         # p = 1: generation at step 1, then one swap round per level; the
         # top pair lands every `cycle` steps (2^(k-1) dominates the tail)
         steps = 4 * cycle + 1
-        res = simulate_nested(k, 1.0, SimConfig(seed=0, steps_per_trajectory=steps,
-                                                trajectories=1))
+        res, = simulate_nested([(k, 1.0)], SimConfig(seed=0, steps_per_trajectory=steps,
+                                                     trajectories=1))
         assert res.success_counts == (steps // cycle,)
 
     def test_same_seed_bit_identical(self):
         cfg = SimConfig(seed=77, steps_per_trajectory=2_000, trajectories=12)
-        assert simulate_nested(2, 0.5, cfg).success_counts \
-            == simulate_nested(2, 0.5, cfg).success_counts
+        assert simulate_nested([(2, 0.5)], cfg)[0].success_counts \
+            == simulate_nested([(2, 0.5)], cfg)[0].success_counts
 
     def test_invariants_hold_under_checking(self):
         # the stepwise oracle checks its span bookkeeping after every step
         cfg = SimConfig(seed=21, steps_per_trajectory=4_000, trajectories=8)
         for k, p in [(1, 0.9), (2, 0.5), (3, 0.3)]:
-            assert nested_counts_stepwise(k, p, cfg) == simulate_nested(k, p, cfg).success_counts
+            assert nested_counts_stepwise(k, p, cfg) \
+                == simulate_nested([(k, p)], cfg)[0].success_counts
 
     @pytest.mark.parametrize("rng", list(BIT_GENERATORS))
     @pytest.mark.parametrize("p", [0.03, 0.25, 0.9, 1.0])
@@ -257,8 +260,37 @@ class TestNestedEngine:
             for chunk_draws in (1, 7, 64, simulator._CHUNK_DRAWS):
                 with monkeypatch.context() as patch:
                     patch.setattr(simulator, "_CHUNK_DRAWS", chunk_draws)
-                    assert simulate_nested(k, p, cfg).success_counts == expect, \
+                    assert simulate_nested([(k, p)], cfg)[0].success_counts == expect, \
                         (steps, trajectories, chunk_draws)
+
+    # mixed k from 1 to 5, a repeated point and p = 1
+    STACK = [(1, 0.5), (5, 0.3), (2, 1.0), (3, 0.07), (1, 0.5), (4, 0.9), (2, 0.25), (5, 1.0)]
+
+    @pytest.mark.parametrize("rng", list(BIT_GENERATORS))
+    @pytest.mark.parametrize("chunk_draws", [2**18, 2**10, 97, 1])
+    def test_stacked_points_equal_points_run_alone(self, chunk_draws, rng, monkeypatch):
+        # one pass over shared streams still reads each point's own stream
+        # prefix; 1030 trajectories span two batches
+        use_streams(monkeypatch, rng)
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", chunk_draws)
+        cfg = SimConfig(seed=47, steps_per_trajectory=40, trajectories=1030)
+        stacked = simulate_nested(self.STACK, cfg)
+        assert [r.success_counts for r in stacked] \
+            == [simulate_nested([point], cfg)[0].success_counts for point in self.STACK]
+        assert all(r.config_echo == cfg for r in stacked)
+
+    def test_stream_passes_split_by_carried_links(self, monkeypatch):
+        # a budget of 1024 trajectories x 32 links splits the first batch's
+        # points into 5 passes, each building its generators; the 6
+        # trajectories of the second batch fit one pass
+        cfg = SimConfig(seed=47, steps_per_trajectory=60, trajectories=1030)
+        expect = [r.success_counts for r in simulate_nested(self.STACK, cfg)]
+        build, batches = simulator._trajectory_generators, []
+        monkeypatch.setattr(simulator, "_trajectory_generators",
+                            lambda config, batch: batches.append(batch) or build(config, batch))
+        monkeypatch.setattr(simulator, "_CARRIED_LINKS", 1024 * 32)
+        assert [r.success_counts for r in simulate_nested(self.STACK, cfg)] == expect
+        assert batches == [range(0, 1024)] * 5 + [range(1024, 1030)]
 
     def test_level_one_matches_chain_walker(self):
         # same process, two implementations: the walker samples the 5-state
@@ -267,14 +299,14 @@ class TestNestedEngine:
         chain = build_chain(TwoLinkParams((p,), (p,), 1.0))
         cfg = SimConfig(seed=42, steps_per_trajectory=30_000, trajectories=60)
         walker = simulate_chain(chain, cfg)
-        engine = simulate_nested(1, p, cfg)
+        engine, = simulate_nested([(1, p)], cfg)
         gap = abs(walker.mean_throughput - engine.mean_throughput)
         sigma = np.hypot(walker.std_error(), engine.std_error())
         assert gap < 3 * sigma
 
     def test_rate_decreases_with_level(self):
         cfg = SimConfig(seed=9, steps_per_trajectory=10_000, trajectories=30)
-        rates = [simulate_nested(k, 0.7, cfg).mean_throughput for k in (1, 2, 3)]
+        rates = [simulate_nested([(k, 0.7)], cfg)[0].mean_throughput for k in (1, 2, 3)]
         assert rates[0] > rates[1] > rates[2]
 
 
@@ -357,7 +389,7 @@ class TestGoldenCounts:
         k, p, rng, trajectories, steps = key
         use_streams(monkeypatch, rng)
         cfg = SimConfig(seed=13, steps_per_trajectory=steps, trajectories=trajectories)
-        res = simulate_nested(k, p, cfg)
+        res, = simulate_nested([(k, p)], cfg)
         assert counts_digest(res.success_counts) == GOLDEN_NESTED_COUNTS[key]
 
     def test_small_chunks_give_the_same_counts(self, monkeypatch):
@@ -366,8 +398,8 @@ class TestGoldenCounts:
                                SimConfig(seed=5, steps_per_trajectory=600, trajectories=1100))
         assert counts_digest(chain.success_counts) \
             == GOLDEN_CHAIN_COUNTS[("dhs", "philox", 1100, 600)]
-        nested = simulate_nested(3, 0.3, SimConfig(seed=13, steps_per_trajectory=300,
-                                                   trajectories=700))
+        nested, = simulate_nested([(3, 0.3)], SimConfig(seed=13, steps_per_trajectory=300,
+                                                        trajectories=700))
         assert counts_digest(nested.success_counts) \
             == GOLDEN_NESTED_COUNTS[(3, 0.3, "philox", 700, 300)]
 
@@ -377,7 +409,7 @@ class TestProcessLevelDeterminism:
         # fresh interpreters with different string hashing, byte-identical counts
         code = (
             "from repeaterlab.simulator import SimConfig, simulate_nested\n"
-            "r = simulate_nested(2, 0.45, SimConfig(seed=1234,"
+            "r, = simulate_nested([(2, 0.45)], SimConfig(seed=1234,"
             " steps_per_trajectory=2000, trajectories=50))\n"
             "print(r.success_counts)\n"
         )
