@@ -19,15 +19,19 @@ breakpoints of all cumulative rows; a bucket fixes the next state from
 every state, so a step is one gather from a successor table.
 
 The nested engine steps from round to round, not slot by slot: a round's
-top pair forms 2^k - 1 steps after the last success of its links, one
-maximum per round. A call takes many (k, p) points and draws each batch's
-streams once, in windows of whole rows of the widest point; every point
-turns its prefix of each window into next-success steps per link and
-resolves the rounds that end there.
+top pair forms 2^k - 1 steps after the last success of its links. A call
+takes many (k, p) points and draws each batch's streams once, in windows of
+whole rows of the widest point. Every point turns its prefix of each window
+into next-success steps per link, and their maximum into a per-step
+round-end table: the step at which a round begun there has all its links.
+The rounds of a window are then a walk on a per-step successor table, one
+gather per round for the whole batch; the per-link steps are read only
+where a round crosses a window edge.
 """
 from __future__ import annotations
 
 import functools
+import operator
 import time
 from dataclasses import dataclass
 
@@ -39,9 +43,12 @@ from .protocols import ProtocolChain
 RNG_ALGORITHM = "philox"  # the bit generator of every trajectory stream
 _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 1000 is one
 _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the draw and bucket
-                      # arrays (16 bytes per draw in the walker, 12 in the nested
-                      # engine, whose windows hold 2/3 as many draws), not the results
+                      # arrays (16 bytes per draw in the walker, at most 18 in the
+                      # nested engine, whose windows hold 2/3 as many draws: see
+                      # _nested_pass), not the results
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
+_STEP_ROW = 512       # entries of a nested window step from which its next-success
+                      # table is scanned a step at a time (see _window_tables)
 _CARRIED_LINKS = 2**20  # link success steps (int64) that one stream pass of a nested call
                         # carries between windows per batch; more points take more passes
 MAX_TRAJECTORIES = 2**32  # spawn keys are one 32-bit word, as _spawn_keys assumes
@@ -63,13 +70,24 @@ class SimConfig:
     trajectories: int = 1_000
 
     def __post_init__(self):
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int)
+                                               and 0 <= self.seed < 2**64):
             raise ArgumentRangeError("seed", self.seed, "unsigned 64-bit integer")
-        if self.steps_per_trajectory < 1:
-            raise ArgumentRangeError("steps_per_trajectory", self.steps_per_trajectory, ">= 1")
-        if not 1 <= self.trajectories <= MAX_TRAJECTORIES:
+        if not (_is_integer(self.steps_per_trajectory) and self.steps_per_trajectory >= 1):
+            raise ArgumentRangeError("steps_per_trajectory", self.steps_per_trajectory,
+                                     "integer >= 1")
+        if not (_is_integer(self.trajectories) and 1 <= self.trajectories <= MAX_TRAJECTORIES):
             raise ArgumentRangeError("trajectories", self.trajectories,
-                                     f"1..{MAX_TRAJECTORIES}")
+                                     f"integer 1..{MAX_TRAJECTORIES}")
+
+
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, a float (NaN too) or a string."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -179,7 +197,7 @@ def _finish(counts: np.ndarray, config: SimConfig, wall_time: float) -> Simulati
     rates = counts / config.steps_per_trajectory
     var = float(rates.var(ddof=1)) if len(rates) > 1 else 0.0
     return SimulationResult(
-        success_counts=tuple(int(c) for c in counts),
+        success_counts=tuple(counts.tolist()),
         mean_throughput=float(rates.mean()),
         throughput_variance=var,
         config_echo=config,
@@ -268,22 +286,36 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> SimulationResult:
     return _finish(np.concatenate(parts), config, time.perf_counter() - t0)
 
 
-def _next_successes(uniforms: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
-    """Next-success steps of a window of uniforms (batch, csize, leaves), int32, in out.
+def _window_tables(rows: np.ndarray, p: float, nxt_buf: np.ndarray, last_buf: np.ndarray):
+    """Next-success and round-end tables of a window of uniform rows (batch, csize, leaves).
 
-    nxt[b, t, l] is the first step >= t of the window, counted from its
-    start, at which link l of trajectory b succeeds, or csize if none does.
-    out is a flat int32 buffer of at least uniforms.size entries.
+    Both tables are step-major with the batch innermost, so that every
+    numpy pass runs along rows of leaves * batch or batch entries, however
+    few steps a window holds. The next-success table, (csize, leaves, batch)
+    int32 in nxt_buf: nxt[t, l, i] is the first step >= t of the window,
+    counted from its start, at which link l of trajectory i succeeds, or
+    csize if none does. The round-end table, (csize, batch) int32 in
+    last_buf, is its largest entry over the links: last[t, i] is the step
+    at which a round begun at t has all its links, or csize if it does not
+    finish in the window. Both buffers are flat, with at least rows.size
+    and csize * batch entries.
     """
-    csize = uniforms.shape[1]
-    nxt = out[:uniforms.size].reshape(uniforms.shape)
-    np.less(uniforms, p, out=nxt)
+    b, csize, leaves = rows.shape
+    nxt = nxt_buf[:rows.size].reshape(csize, leaves, b)
+    np.less(rows.transpose(1, 2, 0), p, out=nxt)
     # t where link l succeeds at step t, else csize
-    nxt *= (np.arange(csize, dtype=np.int32) - np.int32(csize))[:, None]
+    nxt *= (np.arange(csize, dtype=np.int32) - np.int32(csize))[:, None, None]
     nxt += np.int32(csize)
-    backward = nxt[:, ::-1]
-    np.minimum.accumulate(backward, axis=1, out=backward)
-    return nxt
+    # suffix minimum over the steps. accumulate takes about 3 ns an entry
+    # whatever the layout; a pass per step costs about 1.5 us plus well
+    # under 1 ns an entry, so it wins once a step holds _STEP_ROW entries
+    if leaves * b >= _STEP_ROW:
+        for t in range(csize - 2, -1, -1):
+            np.minimum(nxt[t], nxt[t + 1], out=nxt[t])
+    else:
+        backward = nxt[::-1]
+        np.minimum.accumulate(backward, axis=0, out=backward)
+    return nxt, np.maximum.reduce(nxt, axis=1, out=last_buf[:csize * b].reshape(csize, b))
 
 
 _NEVER = np.iinfo(np.int64).max  # the success step of a link not yet seen to succeed
@@ -300,36 +332,69 @@ class _Rounds:
         self.found = np.full((b, 1 << k), _NEVER)
         self.counts = np.zeros(b, dtype=np.int64)
 
-    def advance(self, nxt: np.ndarray, lo: int, steps: int):
-        """Resolve every round that ends in the window of steps lo .. lo + nxt.shape[1].
+    def advance(self, nxt: np.ndarray, last: np.ndarray, lo: int, steps: int,
+                succ_buf: np.ndarray):
+        """Resolve every round that ends in the window of steps lo .. lo + last.shape[0].
 
-        A round's top pair forms 2^k - 1 steps after the last success of its
-        links, since every level adds the same delay on every path. Link
-        steps are counted from lo inside the loop.
+        nxt and last are the window's tables (see _window_tables). A round
+        begun at window step t has all its links at last[t], and its top pair
+        forms 2^k - 1 steps later, since every level adds the same delay on
+        every path; the next round begins at last[t] + 2^k. So the rounds of
+        a trajectory in the window are a walk on the successor table
+        t -> last[t] + 2^k, which stays put where that step is past the
+        window. The per-link steps are read only where a round is carried in
+        from, or left open into, another window. succ_buf is a flat int32
+        buffer of at least last.size entries.
         """
         start, found, counts = self.start, self.found, self.counts
-        b, csize, leaves = nxt.shape
-        hi = lo + csize
-        table = nxt.reshape(b * csize, leaves)  # step t of trajectory i is row i * csize + t
-        delay = np.int64(lo + (1 << self.k) - 1)
-        live = np.flatnonzero(start < hi)
+        csize, b = last.shape
+        jump = 1 << self.k
+
+        def close(rows, ends):
+            # score the rounds of rows that end at window step ends < csize and
+            # begin their successors; returns the mask of the rounds left open
+            still = ends >= csize
+            top = ends + np.int64(lo + jump - 1)
+            counts[rows] += ~still & (top < steps)
+            start[rows] = np.where(still, start[rows], top + 1)
+            return still
+
+        def keep(rows, links):
+            found[rows] = np.where(links < csize, links + np.int64(lo), _NEVER)
+
         # a round begun in an earlier window keeps the success steps seen there
-        links = np.minimum(table.take(live * csize + np.maximum(start[live] - lo, 0), axis=0),
-                           found[live] - lo)
-        found[live] = _NEVER
-        while live.size:
-            last = links.max(axis=1)
-            resolved = last < csize  # else carried into the next window
-            if not resolved.all():
-                pending = ~resolved
-                seen = links[pending]
-                found[live[pending]] = np.where(seen < csize, seen + np.int64(lo), _NEVER)
-                live, last = live[resolved], last[resolved]
-            top = last + delay
-            counts[live] += top < steps
-            start[live] = top + 1
-            live = live[top + 1 < hi]
-            links = table.take(live * csize + (start[live] - lo), axis=0)
+        carried = np.flatnonzero(start < lo)
+        if carried.size:
+            links = np.minimum(nxt[0, :, carried], found[carried] - lo)
+            still = close(carried, links.max(axis=1))
+            keep(carried[still], links[still])
+        live = np.flatnonzero((start >= lo) & (start < lo + csize))
+        if not live.size:
+            return
+        # flat successor table: entry t * b + i holds the entry of the round
+        # after the one trajectory i begins at t, or its own where that one
+        # begins past the window
+        succ = succ_buf[:last.size].reshape(csize, b)
+        np.add(last, jump, out=succ)
+        np.copyto(succ, np.arange(csize, dtype=np.int32)[:, None], where=succ >= csize)
+        succ *= np.int32(b)
+        succ += np.arange(b, dtype=np.int32)
+        succ = succ.ravel()
+        # four rounds per check: a step from where the walk stops stays there
+        path = [(start[live] - lo) * b + live]
+        while True:
+            for _ in range(4):
+                path.append(succ.take(path[-1]))
+            if not np.count_nonzero(path[-1] != path[-2]):
+                break
+        path = np.array(path)
+        # a round that moves the walk ends inside the window, so before steps
+        counts[live] += np.count_nonzero(path[1:] != path[:-1], axis=0)
+        pos = path[-1]
+        start[live] = lo + (pos - live) // b
+        still = close(live, last.ravel().take(pos))
+        rows = live[still]
+        keep(rows, nxt[start[rows] - lo, :, rows])
 
 
 def _stream_passes(points, b: int) -> list[list[int]]:
@@ -355,9 +420,13 @@ def _nested_pass(gens, rounds: list[_Rounds], steps: int):
     width = 1 << max(r.k for r in rounds)
     total = steps * width
     # a window draw costs its float64 uniform and the int32 next-success step
-    # one point at a time makes of it: 12 bytes, 1.5 draws of _CHUNK_DRAWS
+    # one point at a time makes of it; a step, 2^k >= 2 draws, costs its int32
+    # round-end and successor entries, and a round, at least 2 steps, its
+    # int64 entry of the walk's path: at most 18 bytes a draw, 12 a draw of
+    # _CHUNK_DRAWS
     window = min(max(1, 2 * _CHUNK_DRAWS // (3 * b * width)) * width, total)
     draw_buf, nxt_buf = np.empty(b * window), np.empty(b * window, dtype=np.int32)
+    last_buf, succ_buf = np.empty((2, b * window // 2), dtype=np.int32)
     for lo in range(0, total, window):
         size = min(window, total - lo)
         uniforms = _draw(gens, draw_buf[:b * size].reshape(b, size))
@@ -366,7 +435,8 @@ def _nested_pass(gens, rounds: list[_Rounds], steps: int):
             csize = min(size >> r.k, steps - first)
             if csize > 0:
                 rows = uniforms[:, :csize << r.k].reshape(b, csize, 1 << r.k)
-                r.advance(_next_successes(rows, r.p, nxt_buf), first, steps)
+                r.advance(*_window_tables(rows, r.p, nxt_buf, last_buf), first, steps,
+                          succ_buf)
 
 
 def simulate_nested(points, config: SimConfig) -> list[SimulationResult]:

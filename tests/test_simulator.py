@@ -84,9 +84,21 @@ class TestConfig:
         with pytest.raises(ArgumentRangeError):
             SimConfig(seed=2**64)
         with pytest.raises(ArgumentRangeError):
+            SimConfig(seed=True)
+        with pytest.raises(ArgumentRangeError):
             SimConfig(seed=1, steps_per_trajectory=0)
         with pytest.raises(ArgumentRangeError):
             SimConfig(seed=1, trajectories=0)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), True, False, "3", None])
+    @pytest.mark.parametrize("field", ["steps_per_trajectory", "trajectories"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ArgumentRangeError):
+            SimConfig(seed=1, **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SimConfig(seed=1, steps_per_trajectory=np.int64(5), trajectories=np.uint32(2))
+        assert simulate_nested([(1, 1.0)], cfg)[0].success_counts == (2, 2)
 
     def test_full_seed_range_accepted(self):
         SimConfig(seed=0)
@@ -225,6 +237,25 @@ class TestNestedEngine:
             simulate_nested([(1, 1.1)], cfg)
         with pytest.raises(ArgumentRangeError):
             simulate_nested([(13, 0.5)], cfg)  # above the cap of 2^12 links
+
+    @pytest.mark.parametrize("step_row", [1, 2**30])  # scan a step at a time, or accumulate
+    @pytest.mark.parametrize("p", [1.0, 0.3, 1e-300])  # 1e-300: no round finishes
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_window_tables_match_scan(self, k, p, step_row, monkeypatch):
+        # per link, the first success at or after each step, and per step the
+        # last of those: csize where a link or a round does not finish
+        monkeypatch.setattr(simulator, "_STEP_ROW", step_row)
+        b, csize, leaves = 3, 23, 1 << k
+        rows = np.random.default_rng(k).random((b, csize, leaves))
+        nxt, last = simulator._window_tables(rows, p, np.empty(rows.size + 5, np.int32),
+                                             np.empty(b * csize + 5, np.int32))
+        for i, t in itertools.product(range(b), range(csize)):
+            ends = [next((s for s in range(t, csize) if rows[i, s, link] < p), csize)
+                    for link in range(leaves)]
+            assert nxt[t, :, i].tolist() == ends
+            assert last[t, i] == max(ends)
+        if p < 1e-100:
+            assert (last == csize).all()
 
     @pytest.mark.parametrize("k,cycle", [(1, 2), (2, 4), (3, 8)])
     def test_perfect_links_period(self, k, cycle):
