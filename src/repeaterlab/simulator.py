@@ -31,6 +31,7 @@ where a round crosses a window edge.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import time
 from dataclasses import dataclass
@@ -47,8 +48,6 @@ _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the draw and 
                       # nested engine, whose windows hold 2/3 as many draws: see
                       # _nested_pass), not the results
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
-_STEP_ROW = 512       # entries of a nested window step from which its next-success
-                      # table is scanned a step at a time (see _window_tables)
 _CARRIED_LINKS = 2**20  # link success steps (int64) that one stream pass of a nested call
                         # carries between windows per batch; more points take more passes
 MAX_TRAJECTORIES = 2**32  # spawn keys are one 32-bit word, as _spawn_keys assumes
@@ -70,8 +69,7 @@ class SimConfig:
     trajectories: int = 1_000
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, int)
-                                               and 0 <= self.seed < 2**64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ArgumentRangeError("seed", self.seed, "unsigned 64-bit integer")
         if not (_is_integer(self.steps_per_trajectory) and self.steps_per_trajectory >= 1):
             raise ArgumentRangeError("steps_per_trajectory", self.steps_per_trajectory,
@@ -179,7 +177,7 @@ def _trajectory_generators(config: SimConfig, batch: range) -> list[np.random.Ge
     fixed_key = _fixed_key_type()
     # an explicit zero counter spares Philox its slow conversion of counter=None
     return [np.random.Generator(np.random.Philox(fixed_key(key), counter=_ZERO_COUNTER))
-            for key in _spawn_keys(config.seed, batch)]
+            for key in _spawn_keys(int(config.seed), batch)]
 
 
 def _batches(total: int) -> list[range]:
@@ -291,14 +289,14 @@ def _window_tables(rows: np.ndarray, p: float, nxt_buf: np.ndarray, last_buf: np
 
     Both tables are step-major with the batch innermost, so that every
     numpy pass runs along rows of leaves * batch or batch entries, however
-    few steps a window holds. The next-success table, (csize, leaves, batch)
-    int32 in nxt_buf: nxt[t, l, i] is the first step >= t of the window,
-    counted from its start, at which link l of trajectory i succeeds, or
-    csize if none does. The round-end table, (csize, batch) int32 in
-    last_buf, is its largest entry over the links: last[t, i] is the step
-    at which a round begun at t has all its links, or csize if it does not
-    finish in the window. Both buffers are flat, with at least rows.size
-    and csize * batch entries.
+    few steps a window holds (see _suffix_min). The next-success table,
+    (csize, leaves, batch) int32 in nxt_buf: nxt[t, l, i] is the first
+    step >= t of the window, counted from its start, at which link l of
+    trajectory i succeeds, or csize if none does. The round-end table,
+    (csize, batch) int32 in last_buf, is its largest entry over the links:
+    last[t, i] is the step at which a round begun at t has all its links,
+    or csize if it does not finish in the window. Both buffers are flat,
+    with at least rows.size and csize * batch entries.
     """
     b, csize, leaves = rows.shape
     nxt = nxt_buf[:rows.size].reshape(csize, leaves, b)
@@ -306,16 +304,27 @@ def _window_tables(rows: np.ndarray, p: float, nxt_buf: np.ndarray, last_buf: np
     # t where link l succeeds at step t, else csize
     nxt *= (np.arange(csize, dtype=np.int32) - np.int32(csize))[:, None, None]
     nxt += np.int32(csize)
-    # suffix minimum over the steps. accumulate takes about 3 ns an entry
-    # whatever the layout; a pass per step costs about 1.5 us plus well
-    # under 1 ns an entry, so it wins once a step holds _STEP_ROW entries
-    if leaves * b >= _STEP_ROW:
-        for t in range(csize - 2, -1, -1):
-            np.minimum(nxt[t], nxt[t + 1], out=nxt[t])
-    else:
-        backward = nxt[::-1]
-        np.minimum.accumulate(backward, axis=0, out=backward)
+    _suffix_min(nxt.reshape(csize, leaves * b))
     return nxt, np.maximum.reduce(nxt, axis=1, out=last_buf[:csize * b].reshape(csize, b))
+
+
+def _suffix_min(a: np.ndarray):
+    """Set each row of a 2-d array to the minimum of itself and the rows after it, in place.
+
+    Works on whole rows, in blocks of about sqrt(n) of the n rows: one pass
+    per offset within a block, each over every block at once, then one pass
+    per block, which takes the next block's first row, already final. So
+    about 2 sqrt(n) numpy calls, where np.minimum.accumulate along the rows
+    walks each column on its own at about 3 ns an entry. The passes over
+    interleaved rows overlap their out= operand, so numpy copies them
+    through its ufunc buffers: under 100 kB whatever the size of a.
+    """
+    n = len(a)
+    block = max(1, math.isqrt(n))
+    for j in range(block - 2, -1, -1):  # rows j + i * block, from the row after each
+        np.minimum(a[j:n - 1:block], a[j + 1::block], out=a[j:n - 1:block])
+    for s in range((n - 1) // block * block - block, -1, -block):
+        np.minimum(a[s:s + block], a[s + block], out=a[s:s + block])
 
 
 _NEVER = np.iinfo(np.int64).max  # the success step of a link not yet seen to succeed
@@ -381,7 +390,7 @@ class _Rounds:
         succ += np.arange(b, dtype=np.int32)
         succ = succ.ravel()
         # four rounds per check: a step from where the walk stops stays there
-        path = [(start[live] - lo) * b + live]
+        path = [((start[live] - lo) * b + live).astype(np.int32)]
         while True:
             for _ in range(4):
                 path.append(succ.take(path[-1]))
@@ -420,10 +429,12 @@ def _nested_pass(gens, rounds: list[_Rounds], steps: int):
     width = 1 << max(r.k for r in rounds)
     total = steps * width
     # a window draw costs its float64 uniform and the int32 next-success step
-    # one point at a time makes of it; a step, 2^k >= 2 draws, costs its int32
-    # round-end and successor entries, and a round, at least 2 steps, its
-    # int64 entry of the walk's path: at most 18 bytes a draw, 12 a draw of
-    # _CHUNK_DRAWS
+    # one point at a time makes of it, whose suffix minimum runs in place; a
+    # step, 2^k >= 2 draws, costs its int32 round-end and successor entries,
+    # and a round, at least 2^k >= 2 steps, its int32 entry of the walk's
+    # path, held twice while the path is stacked: at most 18 bytes a draw
+    # (plus the few walk steps that check the walk has stopped), 12 a draw
+    # of _CHUNK_DRAWS
     window = min(max(1, 2 * _CHUNK_DRAWS // (3 * b * width)) * width, total)
     draw_buf, nxt_buf = np.empty(b * window), np.empty(b * window, dtype=np.int32)
     last_buf, succ_buf = np.empty((2, b * window // 2), dtype=np.int32)

@@ -83,8 +83,9 @@ class TestConfig:
             SimConfig(seed=-1)
         with pytest.raises(ArgumentRangeError):
             SimConfig(seed=2**64)
-        with pytest.raises(ArgumentRangeError):
-            SimConfig(seed=True)
+        for seed in (True, 1.0, np.float64(1), np.int64(-1), "1"):
+            with pytest.raises(ArgumentRangeError):
+                SimConfig(seed=seed)
         with pytest.raises(ArgumentRangeError):
             SimConfig(seed=1, steps_per_trajectory=0)
         with pytest.raises(ArgumentRangeError):
@@ -96,9 +97,12 @@ class TestConfig:
         with pytest.raises(ArgumentRangeError):
             SimConfig(seed=1, **{field: value})
 
-    def test_numpy_integer_counts_accepted(self):
+    def test_numpy_integers_accepted(self):
         cfg = SimConfig(seed=1, steps_per_trajectory=np.int64(5), trajectories=np.uint32(2))
         assert simulate_nested([(1, 1.0)], cfg)[0].success_counts == (2, 2)
+        cfg = SimConfig(seed=2**64 - 1, steps_per_trajectory=300, trajectories=3)
+        assert simulate_nested([(2, 0.4)], SimConfig(np.uint64(cfg.seed), 300, 3))[0] \
+            .success_counts == simulate_nested([(2, 0.4)], cfg)[0].success_counts
 
     def test_full_seed_range_accepted(self):
         SimConfig(seed=0)
@@ -238,13 +242,20 @@ class TestNestedEngine:
         with pytest.raises(ArgumentRangeError):
             simulate_nested([(13, 0.5)], cfg)  # above the cap of 2^12 links
 
-    @pytest.mark.parametrize("step_row", [1, 2**30])  # scan a step at a time, or accumulate
+    def test_suffix_min_matches_accumulate(self):
+        # every row count up to 50: whole blocks, a short last block, one row
+        rng = np.random.default_rng(3)
+        for n in range(1, 51):
+            a = rng.integers(0, 100, (n, 7)).astype(np.int32)
+            expect = np.minimum.accumulate(a[::-1], axis=0)[::-1]
+            simulator._suffix_min(a)
+            np.testing.assert_array_equal(a, expect, err_msg=f"{n} rows")
+
     @pytest.mark.parametrize("p", [1.0, 0.3, 1e-300])  # 1e-300: no round finishes
     @pytest.mark.parametrize("k", [1, 4])
-    def test_window_tables_match_scan(self, k, p, step_row, monkeypatch):
+    def test_window_tables_match_scan(self, k, p):
         # per link, the first success at or after each step, and per step the
         # last of those: csize where a link or a round does not finish
-        monkeypatch.setattr(simulator, "_STEP_ROW", step_row)
         b, csize, leaves = 3, 23, 1 << k
         rows = np.random.default_rng(k).random((b, csize, leaves))
         nxt, last = simulator._window_tables(rows, p, np.empty(rows.size + 5, np.int32),
