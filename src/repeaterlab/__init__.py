@@ -6,9 +6,7 @@ estimators (estimators), seeded Monte Carlo engines (simulator), and a CLI
 (cli) that drives sweeps and figure data generation.
 """
 from .estimators import (
-    LatencyEstimate,
     NestedEstimate,
-    ThroughputEstimate,
     estimate_latency,
     estimate_throughput,
     exact_throughput_variance,
@@ -37,14 +35,12 @@ from .simulator import SimConfig, SimulationResult, simulate_chain, simulate_nes
 __version__ = "0.1.0"
 
 __all__ = [
-    "LatencyEstimate",
     "MultiHeraldParams",
     "NestedEstimate",
     "ProtocolChain",
     "SimConfig",
     "SimulationResult",
     "StochasticMatrix",
-    "ThroughputEstimate",
     "TwoLinkParams",
     "build_chain",
     "cf_bkp_exact_mean_throughput",

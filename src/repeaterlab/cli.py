@@ -167,7 +167,7 @@ def _params_from_args(args):
 
 # ----------------------------------------------------------------- analyze
 
-def _closed_form_deltas(params, chain, success, latency):
+def _closed_form_deltas(params, chain, success, latency_mean, latency_var):
     name = protocols.protocol_name(params)
     if name == "multiherald":
         cf_eq = protocols.cf_equilibrium_multiheralded(params)
@@ -179,8 +179,8 @@ def _closed_form_deltas(params, chain, success, latency):
         return None
     return {
         "equilibrium": abs(cf_eq - success),
-        "latency_mean": abs(chain.tau / cf_eq - latency.mean),
-        "latency_variance": abs(cf_var * chain.tau**2 - latency.variance),
+        "latency_mean": abs(chain.tau / cf_eq - latency_mean),
+        "latency_variance": abs(cf_var * chain.tau**2 - latency_var),
     }
 
 
@@ -189,11 +189,11 @@ def cmd_analyze(args) -> int:
     chain = protocols.build_chain(params, tau)
     pi = chain.equilibrium
     success = float(pi[chain.success_state])
-    throughput = estimators.estimate_throughput(chain, args.horizon)
+    mean_rate, naive_var = estimators.estimate_throughput(chain, args.horizon)
     exact = estimators.exact_throughput_variance(chain, args.horizon) if args.exact else None
-    latency = estimators.estimate_latency(chain)
+    latency_mean, latency_var = estimators.estimate_latency(chain)
     try:
-        deltas = _closed_form_deltas(params, chain, success, latency)
+        deltas = _closed_form_deltas(params, chain, success, latency_mean, latency_var)
     except protocols.ProtocolError:
         deltas = None  # closed form undefined at this parameter point
     report = {
@@ -206,12 +206,12 @@ def cmd_analyze(args) -> int:
             "success_probability": success,
         },
         "throughput": {
-            "mean_rate": throughput.mean_rate,
-            "naive_variance": throughput.naive_variance,
+            "mean_rate": mean_rate,
+            "naive_variance": naive_var,
             "exact_variance": exact,
-            "horizon_N": throughput.horizon_N,
+            "horizon_N": args.horizon,
         },
-        "latency": {"mean": latency.mean, "variance": latency.variance},
+        "latency": {"mean": latency_mean, "variance": latency_var},
         "closed_form_deltas": deltas,
     }
     _assert_finite_tree(report)
@@ -226,8 +226,8 @@ class _Block:
 
     A chain block holds one row of slot values per target, an array of
     shape (targets, slots) with the slots in the protocol's order (see
-    _PROTOCOLS); its stacked chain and the chain's latency estimate are
-    built once each, on first use. A nested block holds (k, p) pairs.
+    _PROTOCOLS); its stacked chain and the chain's latency (mean, variance)
+    are built once each, on first use. A nested block holds (k, p) pairs.
     """
 
     def __init__(self, protocol: str, rows, tau: float = 1.0):
@@ -238,7 +238,7 @@ class _Block:
         return _PROTOCOLS[self.protocol].chain(self.rows, self.tau)
 
     @functools.cached_property
-    def latency(self) -> estimators.LatencyEstimate:
+    def latency(self) -> tuple[np.ndarray, np.ndarray]:
         return estimators.estimate_latency(self.chain)
 
     def simulate(self, config: simulator.SimConfig) -> list[simulator.SimulationResult]:
@@ -262,11 +262,11 @@ _CHAIN = protocols.PROTOCOL_NAMES
 _METRICS = {
     "equilibrium": (_CHAIN, lambda b, plan: b.chain.equilibrium[:, b.chain.success_state],
                     "mean_throughput_per_step"),
-    "mean_latency": (_CHAIN, lambda b, plan: b.latency.mean, None),
+    "mean_latency": (_CHAIN, lambda b, plan: b.latency[0], None),
     "latency_std_over_mean": (
-        _CHAIN, lambda b, plan: np.sqrt(b.latency.variance) / b.latency.mean, None),
+        _CHAIN, lambda b, plan: np.sqrt(b.latency[1]) / b.latency[0], None),
     "naive_var": (_CHAIN, lambda b, plan: estimators.estimate_throughput(
-        b.chain, plan.horizon).naive_variance, None),
+        b.chain, plan.horizon)[1], None),
     "exact_var": (_CHAIN, lambda b, plan: estimators.exact_throughput_variance(
         b.chain, plan.horizon), None),
     "nested_type1": (("nested",), _nested("type1"), "nested_type1_rate"),

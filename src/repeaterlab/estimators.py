@@ -1,18 +1,18 @@
 """Throughput and latency statistics for protocol chains.
 
 Rates come from the success-state equilibrium probability; latency moments
-come from first-hitting-time analysis. The finite-horizon throughput
-variance comes in two flavors: estimate_throughput gives the naive binomial
-form that ignores step-to-step correlations, next to the rate, and
-exact_throughput_variance the exact one, from one block-matrix power. The
-nested estimators extrapolate two-link results to 2^k-link chains by
-feeding rates back in as effective link probabilities of the shs closed
-form. All chain estimates take a stacked chain (see protocols) and give one
-value per point.
+come from first-hitting-time analysis. estimate_throughput and
+estimate_latency return plain (mean, variance) pairs, as markov.hitting_stats
+does: the rate with its naive binomial variance, which ignores step-to-step
+correlations, and the latency's mean and variance. exact_throughput_variance
+gives the exact variance, from one block-matrix power. The nested
+estimators extrapolate two-link results to 2^k-link chains by feeding rates
+back in as effective link probabilities of the shs closed form. All chain
+estimates take a stacked chain (see protocols) and give one value per point.
 """
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import markov
 from .protocols import ProtocolChain, _shs_equilibrium
 
 HORIZON_CAP = 1_000_000
-MAX_NESTED_K = 12  # 2^12 links: one step of draws for a batch of 1024 trajectories is 32 MiB
+MAX_NESTED_K = 12  # 2^12 links: a simulated batch of 256 trajectories draws 8 MiB a step
 
 
 class HorizonError(ValueError):
@@ -43,42 +43,6 @@ def _reject(name, value, bad, expected):
     bad = np.ravel(bad)
     if bad.any():
         raise ArgumentRangeError(name, np.ravel(value)[bad.argmax()].item(), expected)
-
-
-@dataclass(frozen=True)
-class ThroughputEstimate:
-    """Success rate and its finite-horizon variance.
-
-    mean_rate is in pairs per time unit; naive_variance is in rate-squared
-    units for a horizon of horizon_N steps of duration tau. For a stacked
-    chain, both hold one entry per point.
-    """
-
-    mean_rate: float | np.ndarray
-    naive_variance: float | np.ndarray
-    horizon_N: int
-    tau: float
-
-    def __post_init__(self):
-        rate = np.asarray(self.mean_rate)
-        _reject("mean_rate", rate, ~((0.0 <= rate) & (rate <= 1.0 / self.tau + 1e-12)),
-                "[0, 1/tau]")
-        _reject("naive_variance", self.naive_variance,
-                np.asarray(self.naive_variance) < -1e-12, ">= -1e-12")
-
-
-@dataclass(frozen=True)
-class LatencyEstimate:
-    """First-success time statistics in time units (mean) and squared (variance).
-
-    For a stacked chain both hold one entry per point.
-    """
-
-    mean: float | np.ndarray
-    variance: float | np.ndarray
-
-    def __post_init__(self):
-        _reject("variance", self.variance, np.asarray(self.variance) < -1e-12, ">= -1e-12")
 
 
 @dataclass(frozen=True)
@@ -139,7 +103,7 @@ def exact_throughput_variance(chain: ProtocolChain, N: int) -> float | np.ndarra
     cancels. A stacked chain gives one value per point.
 
     Raises:
-        ArgumentRangeError: N < 1, or a variance came out below -1e-12.
+        ArgumentRangeError: N is no integer >= 1, or a variance fell below -1e-12.
         HorizonError: N exceeds HORIZON_CAP.
         markov.SingularSystemError: the chain has no unique equilibrium.
     """
@@ -161,46 +125,58 @@ def exact_throughput_variance(chain: ProtocolChain, N: int) -> float | np.ndarra
     return var
 
 
-def estimate_throughput(chain: ProtocolChain, N: int) -> ThroughputEstimate:
-    """Long-run success rate plus the naive N-step variance of the rate.
+def estimate_throughput(chain: ProtocolChain, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Long-run success rate and the naive N-step variance of the rate.
 
-    Args:
-        chain: protocol chain, or a stacked chain; its equilibrium must exist
-            (reducible degenerate parameter corners surface solver errors
-            instead).
-        N: horizon in steps for the variance of the rate estimator, at most
-            ``HORIZON_CAP``.
+    Returns (mean_rate, naive_variance) = (pi_s / tau, pi_s (1 - pi_s) / (N tau^2)),
+    pi_s the success-state equilibrium probability; exact_throughput_variance
+    gives the exact variance over the same horizon.
 
-    Returns:
-        ThroughputEstimate with mean_rate = pi_success / tau and
-        naive_variance = pi (1 - pi) / (N tau^2). The exact variance over
-        the same horizon is exact_throughput_variance(chain, N).
+    Raises:
+        ArgumentRangeError: N is not an integer >= 1.
+        HorizonError: N exceeds HORIZON_CAP.
+        markov.SingularSystemError: the chain has no unique equilibrium.
     """
     check_horizon(N)
     p_succ = chain.equilibrium[..., chain.success_state]
     with np.errstate(divide="ignore", invalid="ignore"):  # as in exact_throughput_variance
         naive = p_succ * (1.0 - p_succ) / (N * chain.tau**2)
-    return ThroughputEstimate(p_succ / chain.tau, naive, N, chain.tau)
+    return p_succ / chain.tau, naive
 
 
-def estimate_latency(chain: ProtocolChain) -> LatencyEstimate:
-    """Mean and variance of the time to first success from the start state."""
+def estimate_latency(chain: ProtocolChain) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, variance) of the time to first success from the start state, in time units.
+
+    Raises:
+        ArgumentRangeError: a variance came out below -1e-12.
+    """
     means, variances = markov.hitting_stats(chain.matrix, chain.success_state)
     start = chain.start_state
-    return LatencyEstimate(means[..., start] * chain.tau, variances[..., start] * chain.tau**2)
+    mean, var = means[..., start] * chain.tau, variances[..., start] * chain.tau**2
+    _reject("variance", var, var < -1e-12, ">= -1e-12")
+    return mean, var
+
+
+def _is_integer(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, a float (NaN too) or a string."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
 
 
 def check_horizon(N: int) -> None:
-    """Reject a variance horizon N outside 1..HORIZON_CAP."""
-    if N < 1:
-        raise ArgumentRangeError("N", N, ">= 1")
+    """Reject a variance horizon N that is not an integer in 1..HORIZON_CAP."""
+    if not (_is_integer(N) and N >= 1):
+        raise ArgumentRangeError("N", N, "integers >= 1")
     if N > HORIZON_CAP:
         raise HorizonError(N, HORIZON_CAP)
 
 
 def check_nested(k: int, p: float) -> None:
     """Reject a nesting level k outside 1..MAX_NESTED_K or a link probability outside (0, 1]."""
-    if not (isinstance(k, int) and 1 <= k <= MAX_NESTED_K):
+    if not (_is_integer(k) and 1 <= k <= MAX_NESTED_K):
         raise ArgumentRangeError("k", k, f"integers 1..{MAX_NESTED_K}")
     if not 0.0 < p <= 1.0:
         raise ArgumentRangeError("p", p, "(0, 1]")

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ArgumentRangeError, check_nested
+from .estimators import ArgumentRangeError, _is_integer, check_nested
 from .protocols import ProtocolChain
 
 RNG_ALGORITHM = "philox"  # the bit generator of every trajectory stream
@@ -48,8 +47,8 @@ _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the draw and 
                       # nested engine, whose windows hold 2/3 as many draws: see
                       # _nested_pass), not the results
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
-_CARRIED_LINKS = 2**20  # link success steps (int64) that one stream pass of a nested call
-                        # carries between windows per batch; more points take more passes
+_CARRIED_LINKS = 2**20  # link flags a nested stream pass carries between windows: a batch
+                        # holds at most 2^20 / 2^k trajectories, more points take more passes
 MAX_TRAJECTORIES = 2**32  # spawn keys are one 32-bit word, as _spawn_keys assumes
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -77,15 +76,6 @@ class SimConfig:
         if not (_is_integer(self.trajectories) and 1 <= self.trajectories <= MAX_TRAJECTORIES):
             raise ArgumentRangeError("trajectories", self.trajectories,
                                      f"integer 1..{MAX_TRAJECTORIES}")
-
-
-def _is_integer(value) -> bool:
-    """True for an int or a numpy integer; False for a bool, a float (NaN too) or a string."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -180,8 +170,8 @@ def _trajectory_generators(config: SimConfig, batch: range) -> list[np.random.Ge
             for key in _spawn_keys(int(config.seed), batch)]
 
 
-def _batches(total: int) -> list[range]:
-    return [range(lo, min(lo + _BATCH, total)) for lo in range(0, total, _BATCH)]
+def _batches(total: int, size: int = _BATCH) -> list[range]:
+    return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def _draw(gens, out: np.ndarray) -> np.ndarray:
@@ -327,18 +317,15 @@ def _suffix_min(a: np.ndarray):
         np.minimum(a[s:s + block], a[s + block], out=a[s:s + block])
 
 
-_NEVER = np.iinfo(np.int64).max  # the success step of a link not yet seen to succeed
-
-
 class _Rounds:
     """One nested point's round state over a batch: the k, p, and per trajectory
-    the first step of its current round, the success steps of that round's
-    links seen in earlier windows, and its success count."""
+    the first step of its current round, the mask of that round's links not
+    seen to succeed in earlier windows, and its success count."""
 
     def __init__(self, k: int, p: float, b: int):
         self.k, self.p = k, p
         self.start = np.zeros(b, dtype=np.int64)
-        self.found = np.full((b, 1 << k), _NEVER)
+        self.missing = np.ones((b, 1 << k), dtype=bool)
         self.counts = np.zeros(b, dtype=np.int64)
 
     def advance(self, nxt: np.ndarray, last: np.ndarray, lo: int, steps: int,
@@ -355,7 +342,7 @@ class _Rounds:
         from, or left open into, another window. succ_buf is a flat int32
         buffer of at least last.size entries.
         """
-        start, found, counts = self.start, self.found, self.counts
+        start, missing, counts = self.start, self.missing, self.counts
         csize, b = last.shape
         jump = 1 << self.k
 
@@ -368,15 +355,13 @@ class _Rounds:
             start[rows] = np.where(still, start[rows], top + 1)
             return still
 
-        def keep(rows, links):
-            found[rows] = np.where(links < csize, links + np.int64(lo), _NEVER)
-
-        # a round begun in an earlier window keeps the success steps seen there
+        # a round begun in an earlier window ends at the last first success of
+        # its missing links; the links seen there succeeded before, and read 0
         carried = np.flatnonzero(start < lo)
         if carried.size:
-            links = np.minimum(nxt[0, :, carried], found[carried] - lo)
+            links = nxt[0, :, carried] * missing[carried]
             still = close(carried, links.max(axis=1))
-            keep(carried[still], links[still])
+            missing[carried[still]] = links[still] >= csize
         live = np.flatnonzero((start >= lo) & (start < lo + csize))
         if not live.size:
             return
@@ -403,12 +388,12 @@ class _Rounds:
         start[live] = lo + (pos - live) // b
         still = close(live, last.ravel().take(pos))
         rows = live[still]
-        keep(rows, nxt[start[rows] - lo, :, rows])
+        missing[rows] = nxt[start[rows] - lo, :, rows] >= csize
 
 
 def _stream_passes(points, b: int) -> list[list[int]]:
-    """Runs of consecutive point indices whose carried link steps, b * 2^k
-    per point, fit in _CARRIED_LINKS; a point that alone exceeds it runs alone."""
+    """Runs of consecutive point indices whose carried links, b * 2^k per
+    point, fit in _CARRIED_LINKS (the batch size keeps every point within it)."""
     runs, used = [], 0
     for i, (k, _) in enumerate(points):
         if not runs or used + (b << k) > _CARRIED_LINKS:
@@ -466,7 +451,8 @@ def simulate_nested(points, config: SimConfig) -> list[SimulationResult]:
     the last of them, which scores if T < steps; the next round starts at
     T + 1. Each trajectory reads one row of 2^k uniforms per step, as a
     slot-by-slot engine would, so point (k, p) reads the first
-    steps * 2^k draws of each stream whatever the other points are. The
+    steps * 2^k draws of each stream whatever the other points are. A batch
+    holds at most _CARRIED_LINKS / 2^k trajectories of the widest point. The
     points share one pass over each batch's streams (see _nested_pass), or
     a few where their carried state would exceed _CARRIED_LINKS (see
     _stream_passes). Every result reports the wall time of the whole call.
@@ -474,10 +460,12 @@ def simulate_nested(points, config: SimConfig) -> list[SimulationResult]:
     points = list(points)
     for k, p in points:
         check_nested(k, p)
+    points = [(int(k), p) for k, p in points]  # numpy integers would shift in their own dtype
     steps = config.steps_per_trajectory
+    width = 1 << max((k for k, _ in points), default=0)
     t0 = time.perf_counter()
     counts = [[] for _ in points]
-    for batch in _batches(config.trajectories):
+    for batch in _batches(config.trajectories, max(1, min(_BATCH, _CARRIED_LINKS // width))):
         for run in _stream_passes(points, len(batch)):
             rounds = [_Rounds(*points[i], len(batch)) for i in run]
             _nested_pass(_trajectory_generators(config, batch), rounds, steps)

@@ -923,12 +923,12 @@ def alone(protocol: str, slots: dict, tau: float, outputs, config) -> list[float
         params = protocols.TwoLinkParams((slots["pl1"], slots["pl2"]),
                                          (slots["pr1"], slots["pr2"]), slots["ps"])
     chain = protocols.build_chain(params, tau)
-    latency = estimators.estimate_latency(chain)
+    mean, var = estimators.estimate_latency(chain)
     values = {
         "equilibrium": chain.equilibrium[chain.success_state],
-        "mean_latency": latency.mean,
-        "latency_std_over_mean": np.sqrt(latency.variance) / latency.mean,
-        "naive_var": estimators.estimate_throughput(chain, 30).naive_variance,
+        "mean_latency": mean,
+        "latency_std_over_mean": np.sqrt(var) / mean,
+        "naive_var": estimators.estimate_throughput(chain, 30)[1],
         "exact_var": estimators.exact_throughput_variance(chain, 30),
         "simulated_mean": simulator.simulate_chain(chain, config).mean_throughput,
     }

@@ -24,15 +24,15 @@ def bkp(p1=0.5, p2=0.5, tau=1.0):
 class TestThroughput:
     def test_mean_rate_is_equilibrium_over_tau(self):
         chain = bkp(0.4, 0.7, tau=2.0)
-        est = estimators.estimate_throughput(chain, 1000)
+        mean_rate, _ = estimators.estimate_throughput(chain, 1000)
         pi = markov.equilibrium(chain.matrix)
-        assert est.mean_rate == pytest.approx(pi[2] / 2.0, rel=1e-13)
+        assert mean_rate == pytest.approx(pi[2] / 2.0, rel=1e-13)
 
     def test_naive_variance_formula(self):
         chain = bkp(0.5, 0.5)
-        est = estimators.estimate_throughput(chain, 250)
+        _, naive = estimators.estimate_throughput(chain, 250)
         p = markov.equilibrium(chain.matrix)[2]
-        assert est.naive_variance == pytest.approx(p * (1 - p) / 250, rel=1e-13)
+        assert naive == pytest.approx(p * (1 - p) / 250, rel=1e-13)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 7, 23, 50])
     def test_exact_variance_matches_literal_double_sum(self, N):
@@ -81,10 +81,15 @@ class TestThroughput:
 
     def test_horizon_validation(self):
         chain = bkp()
-        with pytest.raises(estimators.ArgumentRangeError):
-            estimators.estimate_throughput(chain, 0)
-        with pytest.raises(estimators.HorizonError):
-            estimators.estimate_throughput(chain, 10**7)
+        for estimate in (estimators.estimate_throughput, estimators.exact_throughput_variance):
+            # a bool or a float is no horizon, not even an integral one
+            for N in (0, True, 2.5, 3.0, float("nan"), "3"):
+                with pytest.raises(estimators.ArgumentRangeError):
+                    estimate(chain, N)
+            with pytest.raises(estimators.HorizonError):
+                estimate(chain, 10**7)
+        assert estimators.estimate_throughput(chain, np.int64(30)) \
+            == estimators.estimate_throughput(chain, 30)
 
     def test_leading_order_converges_to_exact(self):
         # the equilibrium approximation approaches the exact value as N grows
@@ -99,19 +104,19 @@ class TestThroughput:
 class TestLatency:
     def test_two_state_geometric(self):
         chain = build_chain(MultiHeraldParams((0.25,)), tau=3.0)
-        est = estimators.estimate_latency(chain)
-        assert est.mean == pytest.approx(4.0 * 3.0, rel=1e-13)
-        assert est.variance == pytest.approx((0.75 / 0.0625) * 9.0, rel=1e-13)
+        mean, var = estimators.estimate_latency(chain)
+        assert mean == pytest.approx(4.0 * 3.0, rel=1e-13)
+        assert var == pytest.approx((0.75 / 0.0625) * 9.0, rel=1e-13)
 
     def test_deterministic_shs(self):
-        est = estimators.estimate_latency(build_chain(TwoLinkParams((1.0,), (1.0,), 1.0)))
-        assert (est.mean, est.variance) == (2.0, 0.0)
+        assert estimators.estimate_latency(
+            build_chain(TwoLinkParams((1.0,), (1.0,), 1.0))) == (2.0, 0.0)
 
     def test_shs_with_slow_swap(self):
-        est = estimators.estimate_latency(
+        mean, var = estimators.estimate_latency(
             build_chain(TwoLinkParams((1.0,), (1.0,), 0.5), tau=2.0))
-        assert est.mean == pytest.approx(8.0, rel=1e-13)
-        assert est.variance == pytest.approx(32.0, rel=1e-13)
+        assert mean == pytest.approx(8.0, rel=1e-13)
+        assert var == pytest.approx(32.0, rel=1e-13)
 
     @given(probs, probs, probs)
     @settings(max_examples=30, deadline=None)
@@ -119,9 +124,44 @@ class TestLatency:
         # hitting the success state from restart equals the return time,
         # because the success row repeats the start row
         chain = build_chain(TwoLinkParams((pl,), (pr,), ps))
-        est = estimators.estimate_latency(chain)
+        mean, _ = estimators.estimate_latency(chain)
         pi = markov.equilibrium(chain.matrix)
-        assert est.mean == pytest.approx(1.0 / pi[chain.success_state], rel=1e-10)
+        assert mean == pytest.approx(1.0 / pi[chain.success_state], rel=1e-10)
+
+    def test_negative_variance_rejected(self, monkeypatch):
+        # hitting_stats lets a variance down to -1e-9 steps^2 through; the
+        # latency in time units must not go below -1e-12
+        chain = bkp(0.5, 0.5, tau=1.0)
+        monkeypatch.setattr(markov, "hitting_stats",
+                            lambda matrix, target: (np.ones(3), np.full(3, -1e-10)))
+        with pytest.raises(estimators.ArgumentRangeError, match="variance"):
+            estimators.estimate_latency(chain)
+
+
+class TestPairs:
+    """The chain estimates are plain (mean, variance) pairs, one entry per point."""
+
+    ROWS = np.array([[0.5, 0.6, 0.7, 0.4, 0.9], [0.2, 0.9, 0.3, 0.8, 0.6],
+                     [1.0, 1.0, 1.0, 1.0, 1.0]])
+
+    def test_stacked_pairs_equal_one_chain_pairs(self):
+        stack = protocols.two_link_chain(self.ROWS, 2.5)
+        throughput = estimators.estimate_throughput(stack, 700)
+        latency = estimators.estimate_latency(stack)
+        for pair in (throughput, latency):
+            assert len(pair) == 2 and all(part.shape == (3,) for part in pair)
+        for i, row in enumerate(self.ROWS):
+            chain = build_chain(TwoLinkParams.from_row(tuple(row)), 2.5)
+            one = (estimators.estimate_throughput(chain, 700), estimators.estimate_latency(chain))
+            for stacked, alone in zip((throughput, latency), one):
+                assert all(np.shape(part) == () for part in alone)
+                assert [part[i] for part in stacked] == list(alone)
+
+    def test_star_import_resolves_all(self):
+        import repeaterlab
+        namespace = {}
+        exec("from repeaterlab import *", namespace)
+        assert set(repeaterlab.__all__) <= set(namespace)
 
 
 class TestNested:
@@ -179,6 +219,12 @@ class TestNested:
         with pytest.raises(estimators.ArgumentRangeError):
             estimators.nested_throughput(0.5, estimators.MAX_NESTED_K + 1, "type1")
         assert estimators.nested_throughput(0.5, estimators.MAX_NESTED_K, "type2").level_k == 12
+        # one integer rule with SimConfig: numpy integers pass, bools and floats do not
+        for k in (True, 2.0, 1.5, float("nan"), "2", None):
+            with pytest.raises(estimators.ArgumentRangeError):
+                estimators.nested_throughput(0.5, k, "type1")
+        assert estimators.nested_throughput(0.5, np.int64(2), "type1").rate \
+            == estimators.nested_throughput(0.5, 2, "type1").rate
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("method", ["type1", "type2"])

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,12 @@ class TestNestedEngine:
             simulate_nested([(1, 1.1)], cfg)
         with pytest.raises(ArgumentRangeError):
             simulate_nested([(13, 0.5)], cfg)  # above the cap of 2^12 links
+        for k in (True, 2.0, "2"):  # the integer rule of SimConfig
+            with pytest.raises(ArgumentRangeError):
+                simulate_nested([(k, 0.5)], cfg)
+        cfg = SimConfig(seed=0, steps_per_trajectory=300, trajectories=3)
+        assert simulate_nested([(np.int64(2), 0.5)], cfg)[0].success_counts \
+            == simulate_nested([(2, 0.5)], cfg)[0].success_counts
 
     def test_suffix_min_matches_accumulate(self):
         # every row count up to 50: whole blocks, a short last block, one row
@@ -333,6 +340,33 @@ class TestNestedEngine:
         monkeypatch.setattr(simulator, "_CARRIED_LINKS", 1024 * 32)
         assert [r.success_counts for r in simulate_nested(self.STACK, cfg)] == expect
         assert batches == [range(0, 1024)] * 5 + [range(1024, 1030)]
+
+    def test_batch_capped_by_widest_point(self, monkeypatch):
+        # a budget of 8 * 1024 links caps batches at 256 trajectories of the
+        # 2^5 links of the widest point; each full batch again takes 5 passes
+        cfg = SimConfig(seed=47, steps_per_trajectory=60, trajectories=1030)
+        expect = [r.success_counts for r in simulate_nested(self.STACK, cfg)]
+        build, batches = simulator._trajectory_generators, []
+        monkeypatch.setattr(simulator, "_trajectory_generators",
+                            lambda config, batch: batches.append(batch) or build(config, batch))
+        monkeypatch.setattr(simulator, "_CARRIED_LINKS", 8 * 1024)
+        assert [r.success_counts for r in simulate_nested(self.STACK, cfg)] == expect
+        assert batches == [range(lo, lo + 256) for lo in range(0, 1024, 256) for _ in range(5)] \
+            + [range(1024, 1030)]
+
+    def test_memory_stays_bounded_at_the_widest_level(self):
+        # at 2^12 links a batch of 1024 trajectories carried 32 MiB of int64
+        # link steps and drew 32 MiB a step; the capped batch and the bool
+        # link mask keep the whole call under 64 MiB
+        cfg = SimConfig(seed=3, steps_per_trajectory=5, trajectories=1000)
+        tracemalloc.start()
+        try:
+            res, = simulate_nested([(12, 0.5)], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.success_counts == (0,) * 1000  # a round takes at least 2^12 steps
+        assert peak <= 64 * 2**20
 
     def test_level_one_matches_chain_walker(self):
         # same process, two implementations: the walker samples the 5-state
