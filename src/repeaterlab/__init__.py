@@ -6,7 +6,6 @@ estimators (estimators), seeded Monte Carlo engines (simulator), and a CLI
 (cli) that drives sweeps and figure data generation.
 """
 from .estimators import (
-    NestedEstimate,
     estimate_latency,
     estimate_throughput,
     exact_throughput_variance,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MultiHeraldParams",
-    "NestedEstimate",
     "ProtocolChain",
     "SimConfig",
     "SimulationResult",

@@ -30,9 +30,9 @@ its rows to the protocol's builder as one stack, with no params object per
 point; every chain metric, exact_var included, is one column of that stack,
 and the CSV rows come from one float table per block. A nested block's
 simulated_mean is one simulate_nested call over all its targets, one pass
-over the shared trajectory streams; a chain block walks one chain per
-target. compare and simulate evaluate a one-row block the same way, from
-their params' .row.
+over the shared trajectory streams, and each nested estimate one call over
+its k and p columns; a chain block walks one chain per target. compare and
+simulate evaluate a one-row block the same way, from their params' .row.
 analyze builds its chain from one params object through build_chain. The
 argparse parser is built on the first main call and reused by later calls
 in the same process.
@@ -251,13 +251,14 @@ class _Block:
 
 
 def _nested(method: str):
-    return lambda b, plan: [estimators.nested_throughput(p, k, method).rate for k, p in b.rows]
+    return lambda b, plan: estimators.nested_throughput(
+        np.array([p for _, p in b.rows]), np.array([k for k, _ in b.rows]), method)
 
 
 # metric -> (the sweep protocols it applies to, its values at a block b given
 # the sweep plan, one per target, its row in compare or None); the module
 # docstring has units. Each chain metric is one column of the block's stacked
-# chain; nested_* go target by target, and simulated_mean through _Block.simulate.
+# chain; nested_* are one call per block, simulated_mean goes through _Block.simulate.
 _CHAIN = protocols.PROTOCOL_NAMES
 _METRICS = {
     "equilibrium": (_CHAIN, lambda b, plan: b.chain.equilibrium[:, b.chain.success_state],
@@ -396,12 +397,18 @@ class _SweepPlan:
         for required in ("protocol", "varied_params", "outputs"):
             if required not in spec:
                 raise CliValidationError(f"sweep spec is missing {required!r}")
+        for key, kind, what in (("outputs", str, "names"), ("varied_params", dict, "objects")):
+            if not (isinstance(spec[key], list) and all(isinstance(x, kind) for x in spec[key])):
+                raise CliValidationError(f"{key} must be a list of {what}")
+        fixed = spec.get("fixed_params", {})
+        if not isinstance(fixed, dict):
+            raise CliValidationError("fixed_params must be an object")
 
         self.protocol = spec["protocol"]
         if self.protocol not in _PROTOCOLS:
             raise CliValidationError(f"unknown sweep protocol {self.protocol!r}")
 
-        self.outputs = list(spec["outputs"])
+        self.outputs = spec["outputs"]
         if not self.outputs:
             raise CliValidationError("outputs must name at least one metric")
         if len(set(self.outputs)) != len(self.outputs):
@@ -413,7 +420,6 @@ class _SweepPlan:
                 raise CliValidationError(
                     f"metric {metric!r} does not apply to protocol {self.protocol!r}")
 
-        fixed = dict(spec.get("fixed_params", {}))
         self.varied = []
         for entry in spec["varied_params"]:
             missing = {"name", "start", "stop", "count"} - set(entry)

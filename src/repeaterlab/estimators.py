@@ -6,19 +6,18 @@ estimate_latency return plain (mean, variance) pairs, as markov.hitting_stats
 does: the rate with its naive binomial variance, which ignores step-to-step
 correlations, and the latency's mean and variance. exact_throughput_variance
 gives the exact variance, from one block-matrix power. The nested
-estimators extrapolate two-link results to 2^k-link chains by feeding rates
-back in as effective link probabilities of the shs closed form. All chain
-estimates take a stacked chain (see protocols) and give one value per point.
+estimates extrapolate two-link results to 2^k-link chains by feeding rates
+back in as effective link probabilities of the shs closed form. Each
+estimate gives one value per point, of a stacked chain or of p and k columns.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import markov
-from .protocols import ProtocolChain, _shs_equilibrium
+from .protocols import ProtocolChain
 
 HORIZON_CAP = 1_000_000
 MAX_NESTED_K = 12  # 2^12 links: a simulated batch of 256 trajectories draws 8 MiB a step
@@ -42,35 +41,7 @@ def _reject(name, value, bad, expected):
     """Raise ArgumentRangeError at the first entry of value (a float or an array) where bad holds."""
     bad = np.ravel(bad)
     if bad.any():
-        raise ArgumentRangeError(name, np.ravel(value)[bad.argmax()].item(), expected)
-
-
-@dataclass(frozen=True)
-class NestedEstimate:
-    """Per-level throughput sequence of a 2^k-link nested chain estimate.
-
-    Rates are per elementary step. clamp_events lists (level, raw_argument)
-    pairs for any recursion argument that had to be clamped into [0, 1];
-    clamped is the loud flag for that. per_level_rates[-1] is the answer.
-    """
-
-    level_k: int
-    per_level_rates: tuple[float, ...]
-    method: str
-    clamp_events: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        for r in self.per_level_rates:
-            if not 0.0 < r <= 0.5 + 1e-12:
-                raise ArgumentRangeError("rate", r, "(0, 1/2]")
-
-    @property
-    def rate(self) -> float:
-        return self.per_level_rates[-1]
-
-    @property
-    def clamped(self) -> bool:
-        return bool(self.clamp_events)
+        raise ArgumentRangeError(name, np.ravel(value).tolist()[bad.argmax()], expected)
 
 
 # exact_throughput_variance takes the matrix power in slices of at most this
@@ -174,45 +145,54 @@ def check_horizon(N: int) -> None:
         raise HorizonError(N, HORIZON_CAP)
 
 
-def check_nested(k: int, p: float) -> None:
-    """Reject a nesting level k outside 1..MAX_NESTED_K or a link probability outside (0, 1]."""
-    if not (_is_integer(k) and 1 <= k <= MAX_NESTED_K):
-        raise ArgumentRangeError("k", k, f"integers 1..{MAX_NESTED_K}")
-    if not 0.0 < p <= 1.0:
-        raise ArgumentRangeError("p", p, "(0, 1]")
+def check_nested(k, p) -> None:
+    """Reject levels k outside 1..MAX_NESTED_K or link probabilities p outside (0, 1].
+
+    k and p are scalars or columns; k needs an integer dtype and p a real one,
+    neither bool. The first bad entry raises.
+    """
+    k, p = np.asarray(k), np.asarray(p)
+    k_ok = (1 <= k) & (k <= MAX_NESTED_K) if k.dtype.kind in "iu" else np.zeros(k.shape, bool)
+    p_ok = (0.0 < p) & (p <= 1.0) if p.dtype.kind in "iuf" else np.zeros(p.shape, bool)
+    _reject("k", k, ~k_ok, f"integers 1..{MAX_NESTED_K}")
+    _reject("p", p, ~p_ok, "(0, 1]")
 
 
-def nested_throughput(p: float, k: int, method: str) -> NestedEstimate:
-    """Recursive throughput estimate for a 2^k-link nested swap chain.
+def _level_rate(x: np.ndarray) -> np.ndarray:
+    """The shs equilibrium at pl = pr = x and ps = 1, in a form that nothing cancels in.
+
+    For a double x in (0, 1] the numerator rounds to at most 1 and the
+    denominator to at least 2, so the rate is at most 1/2; and 0 maps to 0.
+    """
+    return x * (2.0 - x) / (3.0 - x * x)
+
+
+def nested_throughput(p, k, method: str) -> np.ndarray:
+    """Recursive throughput estimate for a 2^k-link nested swap chain, one rate per point.
 
     Level 1 is the shs equilibrium at (p, p) with a deterministic swap. Each
     further level treats the previous level as an effective link: method
-    "type1" rescales rates by the level's swap communication time 2^(k-1)
-    on the way in and out; "type2" feeds the rate in unscaled. Arguments
-    ever landing outside [0, 1] are clamped and flagged on the result.
+    "type1" rescales rates by the level's swap communication time 2^(j-1)
+    on the way in and out; "type2" feeds the rate in unscaled. Every level
+    rate is at most 1/2, so the type1 rate at level j is at most 2^-j and
+    the argument built from it stays in [0, 1]. p and k are scalars or
+    columns, broadcast together; a scalar pair gives a numpy scalar.
 
     Raises:
-        FloatingPointError: a level's rate underflowed to 0 (p far too small
-            for the double range).
+        FloatingPointError: a rate underflowed to 0 (p subnormal; 0 stays 0
+            at every later level).
     """
     check_nested(k, p)
-    p = float(p)
     if method not in ("type1", "type2"):
         raise ArgumentRangeError("method", method, "'type1' or 'type2'")
-
-    def checked(level: int, rate: float) -> float:
-        if rate == 0.0:
-            raise FloatingPointError(f"nested rate at level {level} underflowed to 0 (p = {p!r})")
-        return rate
-
-    rates = [checked(1, _shs_equilibrium(p, p, 1.0))]
-    clamp_events = []
-    for level in range(2, k + 1):
-        scale = float(2 ** (level - 1))
-        raw = scale * rates[-1] if method == "type1" else rates[-1]
-        arg = min(max(raw, 0.0), 1.0)
-        if arg != raw:
-            clamp_events.append((level, raw))
-        step = _shs_equilibrium(arg, arg, 1.0)
-        rates.append(checked(level, step / scale if method == "type1" else step))
-    return NestedEstimate(k, tuple(rates), method, tuple(clamp_events))
+    p, k = np.broadcast_arrays(np.asarray(p, dtype=float), k)
+    rate = np.asarray(_level_rate(p))  # a 0-d array, not a numpy scalar, for scalar input
+    for level in range(2, int(k.max(initial=1)) + 1):
+        scale = 2.0 ** (level - 1) if method == "type1" else 1.0
+        live = k >= level
+        rate[live] = _level_rate(scale * rate[live]) / scale
+    zero = np.flatnonzero(rate == 0.0)
+    if zero.size:
+        raise FloatingPointError(f"nested {method} rate underflowed to 0 at k = "
+                                 f"{int(k.flat[zero[0]])}, p = {float(p.flat[zero[0]])!r}")
+    return rate[()]

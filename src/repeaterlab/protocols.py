@@ -328,19 +328,15 @@ def _shs_probs(params: TwoLinkParams) -> tuple[float, float, float]:
     return params.left_probs[0], params.right_probs[0], params.swap_prob
 
 
-def _shs_equilibrium(pl: float, pr: float, ps: float) -> float:
-    """cf_equilibrium_shs at link probabilities pl, pr and swap probability ps."""
+def cf_equilibrium_shs(params: TwoLinkParams) -> float:
+    """Closed-form success-state equilibrium probability of the shs chain."""
+    pl, pr, ps = _shs_probs(params)
     if pl == 0.0 and pr == 0.0:
         raise DegenerateChainError("both links dead: equilibrium is 0/0")
     ql, qr = 1.0 - pl, 1.0 - pr
     num = pl * pr * ps * (1.0 - ql * qr)
     den = 2.0 * pl * pr + ql * pr**2 + qr * pl**2 - pl * pr * ql * qr
     return num / den
-
-
-def cf_equilibrium_shs(params: TwoLinkParams) -> float:
-    """Closed-form success-state equilibrium probability of the shs chain."""
-    return _shs_equilibrium(*_shs_probs(params))
 
 
 def cf_latency_variance_shs(params: TwoLinkParams) -> float:

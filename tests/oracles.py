@@ -145,6 +145,27 @@ def finite_horizon_variance_decimal(rows, start: int, success: int, N: int,
         return float((single + 2 * cross) / (N * N))
 
 
+def nested_rate_decimal(p: float, k: int, method: str, digits: int = 60) -> decimal.Decimal:
+    """The nested estimate's recursion in decimals, to about `digits` significant digits.
+
+    Level 1 is the shs closed form at pl = pr = p and ps = 1, taken as
+    written, pl pr ps (1 - ql qr) / (2 pl pr + ql pr^2 + qr pl^2 - pl pr ql qr);
+    level j feeds s x back in as both link probabilities, x the level j - 1
+    rate, and divides the result by s, where s = 2^(j-1) for "type1" and 1
+    for "type2". 1 - ql qr cancels about |log10 p| digits, so the context
+    carries twice that many more; the float p is read exactly.
+    """
+    with decimal.localcontext() as ctx:
+        x = decimal.Decimal(float(p))
+        ctx.prec = digits + 2 * max(0, -x.adjusted()) + 10
+        for level in range(1, k + 1):
+            s = decimal.Decimal(2 ** (level - 1) if method == "type1" else 1)
+            y = s * x
+            q = 1 - y
+            x = y * y * (1 - q * q) / (2 * y * y + 2 * q * y * y - y * y * q * q) / s
+        return +x
+
+
 def asymptotic_variance_kemeny_snell(rows, success: int) -> float:
     """sigma^2 = lim Var(count over N steps) / N, from the fundamental matrix.
 

@@ -235,8 +235,8 @@ def test_c7_nested_qualitative(announce, request):
             assert all(a < b for a, b in zip(rates, rates[1:])), (k, rates)
         type2_wins = 0
         for (k, p), value in sim.items():
-            t1 = estimators.nested_throughput(p, k, "type1").rate
-            t2 = estimators.nested_throughput(p, k, "type2").rate
+            t1 = estimators.nested_throughput(p, k, "type1")
+            t2 = estimators.nested_throughput(p, k, "type2")
             type2_wins += abs(t2 - value) < abs(t1 - value)
         assert type2_wins * 2 > len(sim), f"type2 closer at only {type2_wins}/{len(sim)}"
         elapsed = time.perf_counter() - t0

@@ -64,7 +64,7 @@ GOLDEN_SWEEP_DIGESTS = {
     "multiherald": "5a3d3edbeffba239270e44679aaf2724b8afd3f5732da0d9a6ccdf3822144da9",
     "shs": "e4bd30db857bff40bdcd39041bc8215c192e3f7b9bd56a1fc82c86bb976e84cb",
     "dhs": "01736fc8c3210a5e25ff67c2af46dacaeb297543acf53434d1fb832b3588466e",
-    "nested": "0c5f76dd6f2c09fa7de44cd3a36bb95fe001d7549e623df83a362143eeb20e2b",
+    "nested": "77e01b3ae70401a1f7737f82d35d4a764f62a746854089813eac9cfa41b4a54e",
 }
 # sha256 of the CSV of each figure spec: whole 19 x 19 surfaces, so a change
 # to the stacked evaluation of any point fails here, and the nested spec's
@@ -79,7 +79,7 @@ FIGURE_DIGESTS = {
     "dhs_latency_spread_by_link": "2d9e971f7adba959dd4fcbc0033af32e938f4ed9d2ee3a15363b12a68061d30a",
     "dhs_latency_spread_by_round": "6313f5dff5ccdf63bbe0c5083f1f4b9a9d8612576e3a07668e07bc1471f04870",
     "nested_throughput_vs_estimates":
-        "bec57a77c31c4b24415fd95b6aea826afd60f392696d969fd4b1e55ee22447ce",
+        "73f1b6ba3d6ed5b5e42e75326c48fae9ae9c9986d2483a9efd342c8aeb0bd66a",
     "shs_equilibrium_surface": "684fccf32741f278c2b1bf96fdafc8b68c3bd67f66aa7cbbfb76fcafe8413068",
     "shs_latency_spread": "09e25ca53a8c27149317f391d3fe7dcbe27d9c830fb016178329429ff9f135f3",
 }
@@ -108,7 +108,7 @@ GOLDEN_ANALYZE_DIGESTS = {
 }
 GOLDEN_COMPARE_DIGESTS = {
     "chain": "0c9c0cb2acea0e691aaddabce1165a2ea9cfaf8ff7c837fbe1e4c5f0eb1a04ed",
-    "nested": "224593cfdd678e4e796805dbf8e0d3149b11261ec1049cb7086f3d6790d79d99",
+    "nested": "3298abd578df337dfdf94fcfd39c8a23414667722a168e73b64c6ede0abe7850",
 }
 
 
@@ -474,13 +474,34 @@ class TestSweep:
             {"protocol": "nested", "varied_params": [],
              "fixed_params": {"k": 1, "p": 0.5, "seed": 3}, "outputs": ["nested_type1"]},
         ]
-        for payload in bad_specs:
+        # spec shapes: outputs a list of names, varied_params a list of
+        # objects, fixed_params an object; the error names the key
+        shs_p = {"name": "p", "start": 0.5, "stop": 0.6, "count": 2}
+        bad_shapes = [
+            ("outputs", {"protocol": "shs", "varied_params": [],
+                         "fixed_params": {"p": 0.5, "ps": 1.0}, "outputs": {"equilibrium": 1}}),
+            ("outputs", {"protocol": "shs", "varied_params": [],
+                         "fixed_params": {"p": 0.5, "ps": 1.0}, "outputs": "equilibrium"}),
+            ("outputs", {"protocol": "shs", "varied_params": [],
+                         "fixed_params": {"p": 0.5, "ps": 1.0}, "outputs": [["equilibrium"]]}),
+            ("fixed_params", {"protocol": "shs", "varied_params": [shs_p],
+                              "fixed_params": [["pr", 0.5], ["ps", 0.9]],
+                              "outputs": ["equilibrium"]}),
+            ("varied_params", {"protocol": "shs", "varied_params": shs_p,
+                               "fixed_params": {"ps": 0.9}, "outputs": ["equilibrium"]}),
+            ("varied_params", {"protocol": "shs", "varied_params": [["p", 0.5, 0.6, 2]],
+                               "fixed_params": {"ps": 0.9}, "outputs": ["equilibrium"]}),
+        ]
+        for key, payload in [(None, payload) for payload in bad_specs] + bad_shapes:
             spec = self.write_spec(tmp_path, payload)
             dest = tmp_path / "never.csv"
             code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
             assert code == 2, payload
             assert not dest.exists()
-            assert json.loads(err)["error"]["category"] == "validation"
+            error = json.loads(err)["error"]
+            assert (error["category"], error["type"]) == ("validation", "CliValidationError")
+            if key is not None:
+                assert error["message"].startswith(f"{key} must be"), error
 
     @pytest.mark.parametrize("payload", [
         {"protocol": "nested",
@@ -602,19 +623,17 @@ class TestSweep:
         assert error["message"] == "non-finite value inf in output"
 
     def test_underflowing_nested_rate_exits_3(self, capsys, tmp_path):
-        # at 1e-200, p^2 underflows to 0, so the level-one closed form divides
-        # 0 by 0; at 1e-150 the level-one rate itself underflows to 0
-        for p in (1e-200, 1e-150):
-            spec = self.write_spec(tmp_path, {
-                "protocol": "nested",
-                "varied_params": [{"name": "k", "start": 1, "stop": 2, "count": 2}],
-                "fixed_params": {"p": p},
-                "outputs": ["nested_type1"],
-            })
-            dest = tmp_path / "never.csv"
-            code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
-            assert code == 3 and not dest.exists(), p
-            assert json.loads(err)["error"]["category"] == "numerical"
+        # at the smallest subnormal p the type1 rate rounds to 0 at k = 2
+        spec = self.write_spec(tmp_path, {
+            "protocol": "nested",
+            "varied_params": [{"name": "k", "start": 1, "stop": 2, "count": 2}],
+            "fixed_params": {"p": 5e-324},
+            "outputs": ["nested_type1"],
+        })
+        dest = tmp_path / "never.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 3 and not dest.exists()
+        assert json.loads(err)["error"]["category"] == "numerical"
 
     def test_units_at_tau_two(self, capsys, tmp_path):
         # equilibrium is per step, mean_latency in time units, naive_var the
@@ -792,13 +811,13 @@ class TestCompare:
             assert error["category"] == "validation"
             assert "--trajectories >= 2" in error["message"]
 
-    @pytest.mark.parametrize("p", ["1e-200", "1e-150"])
+    @pytest.mark.parametrize("p", ["5e-324"])  # the type1 rate at k = 2 rounds to 0
     def test_numerical_failure_before_simulating(self, capsys, monkeypatch, p):
         def no_simulation(*args, **kwargs):
             raise AssertionError("compare simulated before computing the estimate")
         monkeypatch.setattr(simulator, "simulate_chain", no_simulation)
         monkeypatch.setattr(simulator, "simulate_nested", no_simulation)
-        code, out, err = run_cli(capsys, "compare", "--nested", "--k", "1", "--p", p,
+        code, out, err = run_cli(capsys, "compare", "--nested", "--k", "2", "--p", p,
                                  "--steps", "10", "--trajectories", "4", "--seed", "1")
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["category"] == "numerical"

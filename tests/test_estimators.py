@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     asymptotic_variance_kemeny_snell,
     finite_horizon_variance_bruteforce,
     finite_horizon_variance_decimal,
+    nested_rate_decimal,
     visit_count_moments_by_path_enumeration,
 )
 
@@ -167,47 +169,78 @@ class TestPairs:
 class TestNested:
     def test_level_one_closed_form(self):
         for p in [0.2, 0.5, 0.8, 1.0]:
-            est = estimators.nested_throughput(p, 1, "type1")
-            assert est.rate == pytest.approx(p * (2 - p) / (3 - p * p), rel=1e-13)
+            rate = estimators.nested_throughput(p, 1, "type1")
+            assert rate == pytest.approx(p * (2 - p) / (3 - p * p), rel=1e-13)
 
     def test_types_coincide_at_level_one(self):
         a = estimators.nested_throughput(0.37, 1, "type1")
         b = estimators.nested_throughput(0.37, 1, "type2")
-        assert a.rate == b.rate
+        assert a == b
 
     def test_perfect_links_goldens(self):
-        assert estimators.nested_throughput(1.0, 1, "type1").rate == pytest.approx(0.5)
-        assert estimators.nested_throughput(1.0, 2, "type1").rate == pytest.approx(0.25)
-        assert estimators.nested_throughput(1.0, 2, "type2").rate \
-            == pytest.approx(3 / 11, rel=1e-13)
+        assert estimators.nested_throughput(1.0, 1, "type1") == pytest.approx(0.5)
+        assert estimators.nested_throughput(1.0, 2, "type1") == pytest.approx(0.25)
+        assert estimators.nested_throughput(1.0, 2, "type2") == pytest.approx(3 / 11, rel=1e-13)
 
     def test_per_level_rates_recorded(self):
-        est = estimators.nested_throughput(0.6, 3, "type2")
-        assert len(est.per_level_rates) == 3
-        assert est.rate == est.per_level_rates[-1]
-        assert est.level_k == 3
+        # a column over k = 1..3 holds every level; type2 feeds each level's
+        # rate back in as the next level's link probability
+        rates = estimators.nested_throughput(0.6, np.arange(1, 4), "type2")
+        assert rates.shape == (3,)
+        assert rates[0] == estimators.nested_throughput(0.6, 1, "type2")
+        for a, b in zip(rates, rates[1:]):
+            assert b == pytest.approx(a * (2 - a) / (3 - a * a), rel=1e-15)
 
     @given(probs, st.integers(1, 6), st.sampled_from(["type1", "type2"]))
     @settings(max_examples=60, deadline=None)
     def test_rates_decrease_with_level(self, p, k, method):
-        est = estimators.nested_throughput(p, k, method)
-        rates = est.per_level_rates
-        assert all(b < a or (a == b == 0.0) for a, b in zip(rates, rates[1:]))
+        rates = estimators.nested_throughput(p, np.arange(1, k + 1), method)
+        assert all(b < a for a, b in zip(rates, rates[1:]))
         assert all(0.0 < r <= 0.5 for r in rates)
 
     @given(st.integers(1, 5), st.sampled_from(["type1", "type2"]))
     @settings(max_examples=30, deadline=None)
     def test_rate_increases_with_p(self, k, method):
-        grid = [0.1, 0.3, 0.5, 0.7, 0.9]
-        values = [estimators.nested_throughput(p, k, method).rate for p in grid]
+        values = estimators.nested_throughput(np.array([0.1, 0.3, 0.5, 0.7, 0.9]), k, method)
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_clamp_never_fires(self):
-        # the doubled argument 2^(j-1) * rate stays in [0, 1] because every
-        # two-link rate is at most 1/2; the flag machinery must stay quiet
+        # every level rate is at most 1/2, so a type1 argument 2^j rate_j
+        # stays in [0, 1] and no level needs clamping: checked on the 2^20
+        # doubles just below 1 and along the type1 recursion
+        below_one = (np.float64(1.0).view(np.int64) - np.arange(1, 2**20 + 1)).view(np.float64)
+        assert below_one.min() > 0.99 and (2.0 * estimators._level_rate(below_one) <= 1.0).all()
         for p in np.linspace(0.01, 1.0, 34):
-            for k in range(1, 9):
-                assert not estimators.nested_throughput(float(p), k, "type1").clamped
+            rates = estimators.nested_throughput(p, np.arange(1, 9), "type1")
+            assert (2.0 ** np.arange(1, 9) * rates <= 1.0).all()
+
+    def test_matches_decimal_oracle(self):
+        # the closed form taken as written loses |log10 p| digits to 1 - ql qr;
+        # the package's level formula loses none, down to p = 1e-300
+        worst = 0.0
+        for p in (1.0, 0.9, 0.5, 0.37, 0.1, 1e-2, 1e-6, 1e-16, 5.6e-17, 1e-100, 1e-300):
+            for method in ("type1", "type2"):
+                rates = estimators.nested_throughput(p, np.arange(1, 13), method)
+                for k, rate in enumerate(rates, 1):
+                    exact = nested_rate_decimal(p, k, method)
+                    ulps = abs(decimal.Decimal(float(rate)) - exact) / decimal.Decimal(
+                        math.ulp(float(exact)))
+                    worst = max(worst, float(ulps))
+        assert worst <= 8.0, worst
+
+    def test_column_equals_scalar_calls(self):
+        rng = np.random.default_rng(15)
+        p = np.concatenate([rng.uniform(0.0, 1.0, 40), 10.0 ** -rng.uniform(0, 300, 40), [1.0]])
+        k = rng.integers(1, estimators.MAX_NESTED_K + 1, len(p))
+        for method in ("type1", "type2"):
+            column = estimators.nested_throughput(p, k, method)
+            assert column.shape == p.shape
+            alone = [estimators.nested_throughput(pi, ki, method) for pi, ki in zip(p, k)]
+            assert all(np.shape(rate) == () for rate in alone)
+            assert column.tolist() == [float(rate) for rate in alone]
+            # one k broadcasts over a column of p
+            assert estimators.nested_throughput(p, 3, method).tolist() \
+                == [float(estimators.nested_throughput(pi, 3, method)) for pi in p]
 
     def test_argument_validation(self):
         with pytest.raises(estimators.ArgumentRangeError):
@@ -218,18 +251,32 @@ class TestNested:
             estimators.nested_throughput(0.5, 1, "type3")
         with pytest.raises(estimators.ArgumentRangeError):
             estimators.nested_throughput(0.5, estimators.MAX_NESTED_K + 1, "type1")
-        assert estimators.nested_throughput(0.5, estimators.MAX_NESTED_K, "type2").level_k == 12
+        assert 0.0 < estimators.nested_throughput(0.5, estimators.MAX_NESTED_K, "type2") < 0.01
         # one integer rule with SimConfig: numpy integers pass, bools and floats do not
         for k in (True, 2.0, 1.5, float("nan"), "2", None):
             with pytest.raises(estimators.ArgumentRangeError):
                 estimators.nested_throughput(0.5, k, "type1")
-        assert estimators.nested_throughput(0.5, np.int64(2), "type1").rate \
-            == estimators.nested_throughput(0.5, 2, "type1").rate
+        assert estimators.nested_throughput(0.5, np.int64(2), "type1") \
+            == estimators.nested_throughput(0.5, 2, "type1")
+        # p is a real number: no bool, string or None
+        for p in (True, "0.5", None):
+            with pytest.raises(estimators.ArgumentRangeError):
+                estimators.nested_throughput(p, 2, "type1")
+        # a column reports its first bad entry
+        with pytest.raises(estimators.ArgumentRangeError, match="p = 1.5 outside"):
+            estimators.nested_throughput(np.array([0.5, 1.5, 2.0]), np.array([1, 2, 3]), "type1")
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("method", ["type1", "type2"])
     def test_underflowed_rate_is_arithmetic_error(self, k, method):
-        # the level-one rate of p = 1e-150 underflows to 0: a numerical
-        # failure, not a rejected argument
-        with pytest.raises(FloatingPointError, match="level 1 underflowed"):
-            estimators.nested_throughput(1e-150, k, method)
+        # at the smallest subnormal p every level rate rounds back up to p,
+        # but the type1 division by 2 at level 2 rounds it down to 0: a
+        # numerical failure, not a rejected argument
+        p = 5e-324
+        if (method, k) == ("type1", 2):
+            with pytest.raises(FloatingPointError, match="type1 rate underflowed to 0 at k = 2"):
+                estimators.nested_throughput(p, k, method)
+            with pytest.raises(FloatingPointError, match="k = 2, p = 5e-324"):
+                estimators.nested_throughput(np.array([0.5, p]), np.array([2, 2]), method)
+        else:
+            assert estimators.nested_throughput(p, k, method) == p

@@ -245,6 +245,9 @@ class TestNestedEngine:
         for k in (True, 2.0, "2"):  # the integer rule of SimConfig
             with pytest.raises(ArgumentRangeError):
                 simulate_nested([(k, 0.5)], cfg)
+        for p in (True, "0.5", None):  # p is a real number
+            with pytest.raises(ArgumentRangeError):
+                simulate_nested([(2, p)], cfg)
         cfg = SimConfig(seed=0, steps_per_trajectory=300, trajectories=3)
         assert simulate_nested([(np.int64(2), 0.5)], cfg)[0].success_counts \
             == simulate_nested([(2, 0.5)], cfg)[0].success_counts
