@@ -476,7 +476,7 @@ class TestSweep:
         ]
         # spec shapes: outputs a list of names, varied_params a list of
         # objects, fixed_params an object; the error names the key
-        shs_p = {"name": "p", "start": 0.5, "stop": 0.6, "count": 2}
+        shs_pl = {"name": "pl", "start": 0.5, "stop": 0.6, "count": 2}
         bad_shapes = [
             ("outputs", {"protocol": "shs", "varied_params": [],
                          "fixed_params": {"p": 0.5, "ps": 1.0}, "outputs": {"equilibrium": 1}}),
@@ -484,13 +484,15 @@ class TestSweep:
                          "fixed_params": {"p": 0.5, "ps": 1.0}, "outputs": "equilibrium"}),
             ("outputs", {"protocol": "shs", "varied_params": [],
                          "fixed_params": {"p": 0.5, "ps": 1.0}, "outputs": [["equilibrium"]]}),
-            ("fixed_params", {"protocol": "shs", "varied_params": [shs_p],
+            ("fixed_params", {"protocol": "shs", "varied_params": [shs_pl],
                               "fixed_params": [["pr", 0.5], ["ps", 0.9]],
                               "outputs": ["equilibrium"]}),
-            ("varied_params", {"protocol": "shs", "varied_params": shs_p,
-                               "fixed_params": {"ps": 0.9}, "outputs": ["equilibrium"]}),
-            ("varied_params", {"protocol": "shs", "varied_params": [["p", 0.5, 0.6, 2]],
-                               "fixed_params": {"ps": 0.9}, "outputs": ["equilibrium"]}),
+            ("varied_params", {"protocol": "shs", "varied_params": shs_pl,
+                               "fixed_params": {"pr": 0.5, "ps": 0.9},
+                               "outputs": ["equilibrium"]}),
+            ("varied_params", {"protocol": "shs", "varied_params": [["pl", 0.5, 0.6, 2]],
+                               "fixed_params": {"pr": 0.5, "ps": 0.9},
+                               "outputs": ["equilibrium"]}),
         ]
         for key, payload in [(None, payload) for payload in bad_specs] + bad_shapes:
             spec = self.write_spec(tmp_path, payload)
