@@ -813,13 +813,22 @@ class TestCompare:
             assert error["category"] == "validation"
             assert "--trajectories >= 2" in error["message"]
 
-    @pytest.mark.parametrize("p", ["5e-324"])  # the type1 rate at k = 2 rounds to 0
-    def test_numerical_failure_before_simulating(self, capsys, monkeypatch, p):
+    # ids name the link probability: at pl = pr = 1e-150 and 1e-200 the shs
+    # chain has no unique equilibrium in doubles; at 5e-324 the nested type1
+    # rate at k = 2 rounds to 0
+    @pytest.mark.parametrize("target", [
+        pytest.param(("--protocol", "shs", "--pl", "1e-150", "--pr", "1e-150", "--ps", "1"),
+                     id="1e-150"),
+        pytest.param(("--protocol", "shs", "--pl", "1e-200", "--pr", "1e-200", "--ps", "1"),
+                     id="1e-200"),
+        pytest.param(("--nested", "--k", "2", "--p", "5e-324"), id="5e-324"),
+    ])
+    def test_numerical_failure_before_simulating(self, capsys, monkeypatch, target):
         def no_simulation(*args, **kwargs):
             raise AssertionError("compare simulated before computing the estimate")
         monkeypatch.setattr(simulator, "simulate_chain", no_simulation)
         monkeypatch.setattr(simulator, "simulate_nested", no_simulation)
-        code, out, err = run_cli(capsys, "compare", "--nested", "--k", "2", "--p", p,
+        code, out, err = run_cli(capsys, "compare", *target,
                                  "--steps", "10", "--trajectories", "4", "--seed", "1")
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["category"] == "numerical"
