@@ -29,7 +29,7 @@ from .protocols import (
     cf_latency_variance_multiheralded,
     cf_latency_variance_shs,
 )
-from .simulator import SimConfig, SimulationResult, simulate_chain, simulate_nested
+from .simulator import SimConfig, simulate_chain, simulate_nested
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "MultiHeraldParams",
     "ProtocolChain",
     "SimConfig",
-    "SimulationResult",
     "StochasticMatrix",
     "TwoLinkParams",
     "build_chain",

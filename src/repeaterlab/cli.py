@@ -28,11 +28,13 @@ through its own check (the params constructor, or _nested_point), so the
 error is the one that point raises alone. Each block of points then passes
 its rows to the protocol's builder as one stack, with no params object per
 point; every chain metric, exact_var included, is one column of that stack,
-and the CSV rows come from one float table per block. A nested block's
-simulated_mean is one simulate_nested call over all its targets, one pass
-over the shared trajectory streams, and each nested estimate one call over
-its k and p columns; a chain block walks one chain per target. compare and
-simulate evaluate a one-row block the same way, from their params' .row.
+and the CSV rows come from one float table per block. A block's
+simulated_mean is one engine call over all its targets, simulate_chain on
+its stacked chain or simulate_nested on its (k, p) pairs, which draws each
+trajectory stream once and returns the counts per target and trajectory;
+_rate_stats turns them into rates. Each nested estimate is one call over its
+k and p columns. compare and simulate evaluate a one-row block the same
+way, from their params' .row, and take their statistics from _rate_stats.
 analyze builds its chain from one params object through build_chain. The
 argparse parser is built on the first main call and reused by later calls
 in the same process.
@@ -40,12 +42,14 @@ in the same process.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
 import tempfile
+import time
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -241,13 +245,21 @@ class _Block:
     def latency(self) -> tuple[np.ndarray, np.ndarray]:
         return estimators.estimate_latency(self.chain)
 
-    def simulate(self, config: simulator.SimConfig) -> list[simulator.SimulationResult]:
-        """One result per target: a nested block in one stacked call sharing
-        its streams, a chain block one walk per target."""
+    def simulate(self, config: simulator.SimConfig) -> np.ndarray:
+        """Per-trajectory success counts, one row per target, from one engine
+        call over the block, which draws each trajectory stream once."""
         if self.protocol == "nested":
             return simulator.simulate_nested(self.rows, config)
-        return [simulator.simulate_chain(self.chain.point(i), config)
-                for i in range(len(self.rows))]
+        return simulator.simulate_chain(self.chain, config)
+
+
+def _rate_stats(counts: np.ndarray, steps: int):
+    """Per row of per-trajectory success counts over steps: the mean rate, the
+    sample variance of the rates (ddof=1; 0.0 for one trajectory) and the
+    standard error of the mean."""
+    rates = counts / steps
+    var = rates.var(axis=-1, ddof=min(1, rates.shape[-1] - 1))
+    return rates.mean(axis=-1), var, np.sqrt(var / rates.shape[-1])
 
 
 def _nested(method: str):
@@ -258,7 +270,7 @@ def _nested(method: str):
 # metric -> (the sweep protocols it applies to, its values at a block b given
 # the sweep plan, one per target, its row in compare or None); the module
 # docstring has units. Each chain metric is one column of the block's stacked
-# chain; nested_* are one call per block, simulated_mean goes through _Block.simulate.
+# chain; nested_* and simulated_mean (through _Block.simulate) are one call per block.
 _CHAIN = protocols.PROTOCOL_NAMES
 _METRICS = {
     "equilibrium": (_CHAIN, lambda b, plan: b.chain.equilibrium[:, b.chain.success_state],
@@ -272,8 +284,8 @@ _METRICS = {
         b.chain, plan.horizon), None),
     "nested_type1": (("nested",), _nested("type1"), "nested_type1_rate"),
     "nested_type2": (("nested",), _nested("type2"), "nested_type2_rate"),
-    "simulated_mean": ((*_CHAIN, "nested"), lambda b, plan: [
-        result.mean_throughput for result in b.simulate(plan.sim_config)], None),
+    "simulated_mean": ((*_CHAIN, "nested"), lambda b, plan: _rate_stats(
+        b.simulate(plan.sim_config), plan.sim_config.steps_per_trajectory)[0], None),
 }
 
 
@@ -420,7 +432,7 @@ class _SweepPlan:
                 raise CliValidationError(
                     f"metric {metric!r} does not apply to protocol {self.protocol!r}")
 
-        self.varied = []
+        axes = []  # (name, (start, stop, count)), made linspaces once the grid fits
         for entry in spec["varied_params"]:
             missing = {"name", "start", "stop", "count"} - set(entry)
             if missing:
@@ -433,10 +445,10 @@ class _SweepPlan:
                            for bound in ("start", "stop"))
             if not (math.isfinite(start) and math.isfinite(stop)):
                 raise CliValidationError(f"non-finite grid bounds for {name!r}")
-            self.varied.append((name, np.linspace(start, stop, count)))
+            axes.append((name, (start, stop, count)))
 
         fixed_probs = {k: v for k, v in fixed.items() if k not in _RESERVED_FIXED}
-        prob_names = [name for name, _ in self.varied] + list(fixed_probs)
+        prob_names = [name for name, _ in axes] + list(fixed_probs)
         if len(set(prob_names)) != len(prob_names):
             raise CliValidationError("a parameter name appears more than once")
 
@@ -481,17 +493,22 @@ class _SweepPlan:
             )
 
         tau = protocols._real("fixed_params.tau", fixed["tau"]) if "tau" in fixed else None
+        sizes = [count for _, (_, _, count) in axes]
+        try:
+            self.grid = np.empty((math.prod(sizes), len(sizes)))
+            rows = np.empty((len(self.grid), len(slots)))
+        except (MemoryError, ValueError) as exc:
+            raise CliValidationError(
+                f"the sweep grid of {math.prod(sizes)} points does not fit in memory") from exc
+        self.varied = [(name, np.linspace(*axis)) for name, axis in axes]
         # column j repeats each value of axis j once per point of the later
         # axes, and the whole axis once per point of the earlier ones
-        sizes = [len(axis) for _, axis in self.varied]
-        self.grid = np.empty((math.prod(sizes), len(sizes)))
         for j, (_, axis) in enumerate(self.varied):
             self.grid[:, j] = np.tile(np.repeat(axis, math.prod(sizes[j + 1:])),
                                       math.prod(sizes[:j]))
         values = {name: column for (name, _), column in zip(self.varied, self.grid.T)}
         values.update({name: protocols._real(f"fixed_params.{name}", value)
                        for name, value in fixed_probs.items()})
-        rows = np.empty((len(self.grid), len(slots)))
         for name, value in values.items():
             for slot in aliases[name]:
                 rows[:, slots.index(slot)] = value
@@ -571,23 +588,22 @@ def cmd_simulate(args) -> int:
     else:
         target = {"kind": "chain", "protocol": block.protocol,
                   "params": json.loads(protocols.params_to_json(params, block.tau))}
-    result, = block.simulate(_sim_config_from_args(args))
+    config = _sim_config_from_args(args)
+    t0 = time.perf_counter()
+    counts, = block.simulate(config)
+    wall_time = time.perf_counter() - t0
     if args.csv_out is not None:
         lines = ["trajectory_index,success_count"]
-        lines += [f"{i},{count}" for i, count in enumerate(result.success_counts)]
+        lines += [f"{i},{count}" for i, count in enumerate(counts.tolist())]
         _atomic_write(args.csv_out, "\n".join(lines) + "\n")
+    mean, var, err = map(float, _rate_stats(counts, config.steps_per_trajectory))
     summary = {
         "target": target,
-        "config": {
-            "seed": result.config_echo.seed,
-            "steps_per_trajectory": result.config_echo.steps_per_trajectory,
-            "trajectories": result.config_echo.trajectories,
-            "rng_algorithm": simulator.RNG_ALGORITHM,
-        },
-        "mean_throughput": result.mean_throughput,
-        "throughput_variance": result.throughput_variance,
-        "std_error": result.std_error(),
-        "wall_time": result.wall_time,
+        "config": {**dataclasses.asdict(config), "rng_algorithm": simulator.RNG_ALGORITHM},
+        "mean_throughput": mean,
+        "throughput_variance": var,
+        "std_error": err,
+        "wall_time": wall_time,
     }
     _assert_finite_tree(summary)
     _emit(json.dumps(summary, indent=2), args.json_out)
@@ -603,9 +619,9 @@ def cmd_compare(args) -> int:
     # compare rows read no sweep settings, so they get no plan
     analytical = [(row, value(block, None)[0]) for applies, value, row in _METRICS.values()
                   if row is not None and block.protocol in applies]
-    result, = block.simulate(_sim_config_from_args(args))
-    simulated = result.mean_throughput
-    err = result.std_error()
+    config = _sim_config_from_args(args)
+    simulated, _, err = map(float, _rate_stats(block.simulate(config)[0],
+                                               config.steps_per_trajectory))
 
     def sigma(rate: float) -> float:
         gap = abs(rate - simulated)

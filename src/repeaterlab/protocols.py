@@ -193,11 +193,6 @@ class ProtocolChain:
         """markov.equilibrium of the matrix, solved on first use and kept."""
         return markov.equilibrium(self.matrix)
 
-    def point(self, i: int) -> "ProtocolChain":
-        """The i-th chain of a stacked chain."""
-        return ProtocolChain(StochasticMatrix(self.matrix.rows[i]), self.labels,
-                             self.start_state, self.success_state, self.tau)
-
 
 def _round_rows(probs: np.ndarray) -> np.ndarray:
     """Rows of an n-round link counter: row i < n passes round i+1 with p_i or drops to 0.
@@ -329,13 +324,14 @@ def _shs_probs(params: TwoLinkParams) -> tuple[float, float, float]:
 
 
 def cf_equilibrium_shs(params: TwoLinkParams) -> float:
-    """Closed-form success-state equilibrium probability of the shs chain."""
+    """Closed-form success-state equilibrium probability of the shs chain, in a
+    form that does not cancel at small pl, pr: 1 - ql qr is pl + pr - pl pr."""
     pl, pr, ps = _shs_probs(params)
     if pl == 0.0 and pr == 0.0:
         raise DegenerateChainError("both links dead: equilibrium is 0/0")
     ql, qr = 1.0 - pl, 1.0 - pr
-    num = pl * pr * ps * (1.0 - ql * qr)
-    den = 2.0 * pl * pr + ql * pr**2 + qr * pl**2 - pl * pr * ql * qr
+    num = pl * pr * ps * (pl + pr - pl * pr)
+    den = pl * pr * (2.0 - ql * qr) + ql * pr**2 + qr * pl**2
     return num / den
 
 

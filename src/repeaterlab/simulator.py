@@ -12,11 +12,15 @@ chunk sizes. Trajectories are walked in vectorized lock-step batches, one
 batch after another on the calling thread; each trajectory still consumes
 only its own stream. The Philox keys of a whole batch are derived in one
 vectorized pass, by a port of SeedSequence's hash mixing, instead of one
-SeedSequence per trajectory.
+SeedSequence per trajectory. Both engines take a stack of points, draw each
+batch's streams once for all of them, and return int64 success counts, one
+row per point and one entry per trajectory.
 
-The chain walker buckets each chunk of draws once against the merged
-breakpoints of all cumulative rows; a bucket fixes the next state from
-every state, so a step is one gather from a successor table.
+The chain walker buckets each chunk of draws against the merged breakpoints
+of all cumulative rows of a point; a bucket fixes the next state from every
+state, so a step is one gather from a successor table. The grid cells of a
+chunk's draws are taken once, and each point of a stacked chain turns them
+into its own table offsets and walks them.
 
 The nested engine steps from round to round, not slot by slot: a round's
 top pair forms 2^k - 1 steps after the last success of its links. A call
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +45,10 @@ from .protocols import ProtocolChain
 
 RNG_ALGORITHM = "philox"  # the bit generator of every trajectory stream
 _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 1000 is one
-_CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the draw and bucket
-                      # arrays (16 bytes per draw in the walker, at most 18 in the
-                      # nested engine, whose windows hold 2/3 as many draws: see
-                      # _nested_pass), not the results
+_CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the chunk arrays (25
+                      # bytes per draw in the walker: the float64 draw, its intp cell
+                      # and table offset, a bool flag; at most 18 in the nested engine,
+                      # whose windows hold 2/3 as many draws: see _nested_pass)
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
 _CARRIED_LINKS = 2**20  # link flags a nested stream pass carries between windows: a batch
                         # holds at most 2^20 / 2^k trajectories, more points take more passes
@@ -76,26 +79,6 @@ class SimConfig:
         if not (_is_integer(self.trajectories) and 1 <= self.trajectories <= MAX_TRAJECTORIES):
             raise ArgumentRangeError("trajectories", self.trajectories,
                                      f"integer 1..{MAX_TRAJECTORIES}")
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """Per-trajectory success counts and their summary statistics.
-
-    mean_throughput is successes per elementary step averaged over
-    trajectories; throughput_variance is the sample variance of the
-    per-trajectory rates (0 for a single trajectory).
-    """
-
-    success_counts: tuple[int, ...]
-    mean_throughput: float
-    throughput_variance: float
-    config_echo: SimConfig
-    wall_time: float
-
-    def std_error(self) -> float:
-        """Standard error of mean_throughput across trajectories."""
-        return float(np.sqrt(self.throughput_variance / len(self.success_counts)))
 
 
 def _hashmix(value, const: int, mult: int):
@@ -181,97 +164,86 @@ def _draw(gens, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finish(counts: np.ndarray, config: SimConfig, wall_time: float) -> SimulationResult:
-    rates = counts / config.steps_per_trajectory
-    var = float(rates.var(ddof=1)) if len(rates) > 1 else 0.0
-    return SimulationResult(
-        success_counts=tuple(counts.tolist()),
-        mean_throughput=float(rates.mean()),
-        throughput_variance=var,
-        config_echo=config,
-        wall_time=wall_time,
-    )
+def _walk_tables(cum: np.ndarray, grid: np.ndarray, success_state: int):
+    """One chain's walk tables, from its cumulative rows cum (n, n).
 
-
-def _successor_table(cum: np.ndarray):
-    """Sorted breakpoints of all rows and the flat next-state table.
-
-    A draw's bucket b is the number of edges <= u. It fixes the next state
-    from every state s: successor[b * n + s] = #{j : cum[s, j] <= u}. This
-    is exact because every breakpoint cum[s, j] is an edge.
+    The edges are the sorted breakpoints of all rows. A draw's bucket b is
+    the number of edges <= u; it fixes the next state from every state s:
+    successor[b * n + s] = #{j : cum[s, j] <= u}, exact because every
+    breakpoint cum[s, j] is an edge. hits flags the successor entries that
+    are the success state. A draw in grid cell m = floor(u * _CELLS) lies in
+    bucket below[m] unless an edge falls strictly inside the cell: the int32
+    cell table holds below[m] * n, or -1 for such a cell, whose draws are
+    searched. A stacked chain holds every point's tables at once, about
+    20 kB a dhs point, nearly all of it the cell table.
     """
+    n = len(cum)
     edges = np.unique(cum)
-    successor = np.zeros((len(edges) + 1, len(cum)), dtype=np.intp)
+    successor = np.zeros((len(edges) + 1, n), dtype=np.intp)
     for s, row in enumerate(cum):
         successor[1:, s] = np.searchsorted(np.sort(row), edges, side="right")
-    return edges, successor.ravel()
-
-
-def simulate_chain(chain: ProtocolChain, config: SimConfig) -> SimulationResult:
-    """Walk the chain for steps_per_trajectory transitions per trajectory.
-
-    Counts visits to the success state among steps 1..steps (the start
-    state itself is not counted). Sampling inverts each row's cumulative
-    distribution against one uniform draw per step, through the bucket of
-    the draw (see _successor_table).
-    """
-    cum = np.cumsum(chain.matrix.rows, axis=1)
-    cum[:, -1] = 1.0  # kill cumulative round-off; draws live in [0, 1)
-    n = chain.n
-    edges, successor = _successor_table(cum)
-    hits = successor == chain.success_state
-    # a draw in cell m = floor(u * _CELLS) lies in bucket below[m] unless an
-    # edge falls strictly inside the cell; only those draws are searched
-    grid = np.arange(_CELLS + 1) / _CELLS
+    successor = successor.ravel()
     below = np.searchsorted(edges, grid, side="right")
-    cell_offset = below[:-1] * n
-    cell_split = np.searchsorted(edges, grid[1:], side="left") != below[:-1]
+    cell_offset = (below[:-1] * n).astype(np.int32)
+    cell_offset[np.searchsorted(edges, grid[1:], side="left") != below[:-1]] = -1
+    return edges, successor, successor == success_state, cell_offset
+
+
+def simulate_chain(chain: ProtocolChain, config: SimConfig) -> np.ndarray:
+    """Walk a chain, or each chain of a stacked chain, for steps_per_trajectory transitions.
+
+    Returns the int64 success counts of every trajectory, of shape
+    chain.matrix.rows.shape[:-2] + (trajectories,): visits to the success
+    state among steps 1..steps (the start state itself is not counted).
+    Sampling inverts each row's cumulative distribution against one
+    uniform draw per step, through the bucket of the draw (see
+    _walk_tables). Every point reads the same trajectory streams, as it
+    would alone, so a batch builds its generators once and draws and
+    buckets each chunk once; then the points walk the chunk one by one.
+    """
+    n = chain.n
+    rows = chain.matrix.rows
+    cum = np.cumsum(rows.reshape(-1, n, n), axis=2)
+    cum[..., -1] = 1.0  # kill cumulative round-off; draws live in [0, 1)
+    grid = np.arange(_CELLS + 1) / _CELLS
+    tables = [_walk_tables(point, grid, chain.success_state) for point in cum]
     steps = config.steps_per_trajectory
-
-    def walk_chunk(gens, csize: int, states: np.ndarray, counts: np.ndarray,
-                   draw_buf: np.ndarray, cell_buf: np.ndarray) -> np.ndarray:
-        size = csize * len(gens)
-        uniforms = _draw(gens, draw_buf[:size].reshape(len(gens), csize))
-        # table offsets bucket * n in (step, trajectory) layout, so that each
-        # step reads one contiguous row
-        cells = cell_buf[:size].reshape(csize, len(gens))
-        np.multiply(uniforms.T, _CELLS, out=cells, casting="unsafe")  # floor(u * _CELLS)
-        split = np.flatnonzero(cell_split.take(cells))
-        exact = np.searchsorted(edges, uniforms.T.flat[split], side="right") * n
-        # the draws are spent: their buffer takes the offsets. Every index
-        # below is in range (a cell is below _CELLS, an offset below
-        # len(successor)), so mode="clip" clips nothing; it only spares take
-        # the temporary copy it makes for out= in its default mode
-        offsets = draw_buf.view(np.intp)[:size].reshape(csize, len(gens))
-        cell_offset.take(cells, out=offsets, mode="clip")
-        offsets.flat[split] = exact
-        for index in offsets:
-            index += states
-            states = successor.take(index)
-        # the cells are spent too: their buffer takes the success flags
-        hit = hits.take(offsets, out=cell_buf.view(bool)[:size].reshape(csize, len(gens)),
-                        mode="clip")
-        counts += np.count_nonzero(hit, axis=0)
-        return states
-
-    def run_batch(batch: range) -> np.ndarray:
+    counts = np.zeros((len(tables), config.trajectories), dtype=np.int64)
+    for batch in _batches(config.trajectories):
         gens = _trajectory_generators(config, batch)
-        chunk = max(1, _CHUNK_DRAWS // len(gens))
-        states = np.full(len(gens), chain.start_state, dtype=np.intp)
-        counts = np.zeros(len(gens), dtype=np.int64)
-        # two chunk buffers per batch, reused by every chunk: fresh
-        # multi-megabyte arrays per chunk cost the walker a page fault per
-        # page each time the allocator hands them back to the system
-        size = min(chunk, steps) * len(gens)
-        draw_buf, cell_buf = np.empty(size), np.empty(size, dtype=np.intp)
+        b = len(gens)
+        chunk = max(1, _CHUNK_DRAWS // b)
+        # one set of chunk buffers per batch, reused by every chunk and point:
+        # fresh multi-megabyte arrays cost the walker a page fault per page
+        # each time the allocator hands them back to the system
+        size = min(chunk, steps) * b
+        draw_buf, (cell_buf, offset_buf), flag_buf = (
+            np.empty(size), np.empty((2, size), dtype=np.intp), np.empty(size, dtype=bool))
+        states = np.full((len(tables), b), chain.start_state, dtype=np.intp)
         for done in range(0, steps, chunk):
-            states = walk_chunk(gens, min(chunk, steps - done), states, counts,
-                                draw_buf, cell_buf)
-        return counts
-
-    t0 = time.perf_counter()
-    parts = [run_batch(batch) for batch in _batches(config.trajectories)]
-    return _finish(np.concatenate(parts), config, time.perf_counter() - t0)
+            csize = min(chunk, steps - done)
+            uniforms = _draw(gens, draw_buf[:csize * b].reshape(b, csize))
+            # cells, table offsets and flags in (step, trajectory) layout, so
+            # that each step reads one contiguous row
+            cells, offsets, flags = (buf[:csize * b].reshape(csize, b)
+                                     for buf in (cell_buf, offset_buf, flag_buf))
+            np.multiply(uniforms.T, _CELLS, out=cells, casting="unsafe")  # floor(u * _CELLS)
+            for i, (edges, successor, hits, cell_offset) in enumerate(tables):
+                # every index is in range (a cell is below _CELLS, an offset
+                # below len(successor)), so mode="clip" clips nothing; it only
+                # spares take the temporary copy it makes for out= otherwise
+                cell_offset.astype(np.intp).take(cells, out=offsets, mode="clip")
+                split = np.flatnonzero(np.less(offsets, 0, out=flags))
+                offsets.flat[split] = np.searchsorted(edges, uniforms.T.flat[split],
+                                                      side="right") * n
+                state = states[i]
+                for index in offsets:
+                    index += state
+                    state = successor.take(index)
+                states[i] = state
+                counts[i, batch.start:batch.stop] += np.count_nonzero(
+                    hits.take(offsets, out=flags, mode="clip"), axis=0)
+    return counts.reshape(rows.shape[:-2] + (config.trajectories,))
 
 
 def _window_tables(rows: np.ndarray, p: float, nxt_buf: np.ndarray, last_buf: np.ndarray):
@@ -320,13 +292,13 @@ def _suffix_min(a: np.ndarray):
 class _Rounds:
     """One nested point's round state over a batch: the k, p, and per trajectory
     the first step of its current round, the mask of that round's links not
-    seen to succeed in earlier windows, and its success count."""
+    seen to succeed in earlier windows, and its success count, in counts, the
+    batch's slice of the point's row of the call's counts."""
 
-    def __init__(self, k: int, p: float, b: int):
-        self.k, self.p = k, p
-        self.start = np.zeros(b, dtype=np.int64)
-        self.missing = np.ones((b, 1 << k), dtype=bool)
-        self.counts = np.zeros(b, dtype=np.int64)
+    def __init__(self, k: int, p: float, counts: np.ndarray):
+        self.k, self.p, self.counts = k, p, counts
+        self.start = np.zeros(len(counts), dtype=np.int64)
+        self.missing = np.ones((len(counts), 1 << k), dtype=bool)
 
     def advance(self, nxt: np.ndarray, last: np.ndarray, lo: int, steps: int,
                 succ_buf: np.ndarray):
@@ -435,8 +407,8 @@ def _nested_pass(gens, rounds: list[_Rounds], steps: int):
                           succ_buf)
 
 
-def simulate_nested(points, config: SimConfig) -> list[SimulationResult]:
-    """Discrete-time simulation of 2^k-link nested swapping chains, one result per (k, p).
+def simulate_nested(points, config: SimConfig) -> np.ndarray:
+    """Discrete-time simulation of 2^k-link nested swapping chains at each (k, p).
 
     Idle elementary links attempt generation with probability p per step;
     two sibling segments at level j-1 start a level-j swap that completes
@@ -455,7 +427,8 @@ def simulate_nested(points, config: SimConfig) -> list[SimulationResult]:
     holds at most _CARRIED_LINKS / 2^k trajectories of the widest point. The
     points share one pass over each batch's streams (see _nested_pass), or
     a few where their carried state would exceed _CARRIED_LINKS (see
-    _stream_passes). Every result reports the wall time of the whole call.
+    _stream_passes). Returns the int64 success counts of every trajectory,
+    one row per point: shape (len(points), trajectories).
     """
     points = list(points)
     for k, p in points:
@@ -463,13 +436,9 @@ def simulate_nested(points, config: SimConfig) -> list[SimulationResult]:
     points = [(int(k), p) for k, p in points]  # numpy integers would shift in their own dtype
     steps = config.steps_per_trajectory
     width = 1 << max((k for k, _ in points), default=0)
-    t0 = time.perf_counter()
-    counts = [[] for _ in points]
+    counts = np.zeros((len(points), config.trajectories), dtype=np.int64)
     for batch in _batches(config.trajectories, max(1, min(_BATCH, _CARRIED_LINKS // width))):
         for run in _stream_passes(points, len(batch)):
-            rounds = [_Rounds(*points[i], len(batch)) for i in run]
+            rounds = [_Rounds(*points[i], counts[i, batch.start:batch.stop]) for i in run]
             _nested_pass(_trajectory_generators(config, batch), rounds, steps)
-            for i, r in zip(run, rounds):
-                counts[i].append(r.counts)
-    wall_time = time.perf_counter() - t0
-    return [_finish(np.concatenate(c), config, wall_time) for c in counts]
+    return counts

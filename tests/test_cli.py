@@ -103,7 +103,7 @@ GOLDEN_ANALYZE_DIGESTS = {
     "multiherald": "57e63d63919cd224cb2f840f4e994e2c0dadbe1c025c693127dbe87b95b26125",
     "shs": "fefbbeb40faa052cbf6e226a2681470d7efddf6ec1f48cee88d5b03519f7599e",
     "dhs": "9fcbcc7bc5d23c0f8c53357cb2064027c4c6301ad9101e1080e5fb08139da1ce",
-    "naive": "5eaadc5e26f33036d58a5fd34c694066e7d4321cdf907d3b42ac4ffe2c185004",
+    "naive": "b6f65181c8f1065195605a616866cc1484c4b79857c3a1b9bb188015e18efb47",
     "params_json": "a41d27f58d9a7b0c6d1fa8a9d048538018016b62974206d3323df220e21d7efc",
 }
 GOLDEN_COMPARE_DIGESTS = {
@@ -504,6 +504,24 @@ class TestSweep:
             assert (error["category"], error["type"]) == ("validation", "CliValidationError")
             if key is not None:
                 assert error["message"].startswith(f"{key} must be"), error
+
+    def test_oversized_grid_is_a_validation_error(self, capsys, tmp_path):
+        # 10^15 points take 7.1 PiB, beyond any address space, so allocating
+        # the grid fails at once
+        spec = self.write_spec(tmp_path, {
+            "protocol": "shs",
+            "varied_params": [{"name": "p", "start": 0.1, "stop": 0.9, "count": 10**15}],
+            "fixed_params": {"ps": 0.5},
+            "outputs": ["equilibrium"],
+        })
+        dest = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 2 and out == "" and not dest.exists()
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        error = json.loads(lines[0])["error"]
+        assert (error["category"], error["type"]) == ("validation", "CliValidationError")
+        assert "1000000000000000 points" in error["message"]
 
     @pytest.mark.parametrize("payload", [
         {"protocol": "nested",
@@ -960,7 +978,8 @@ def alone(protocol: str, slots: dict, tau: float, outputs, config) -> list[float
         "latency_std_over_mean": np.sqrt(var) / mean,
         "naive_var": estimators.estimate_throughput(chain, 30)[1],
         "exact_var": estimators.exact_throughput_variance(chain, 30),
-        "simulated_mean": simulator.simulate_chain(chain, config).mean_throughput,
+        "simulated_mean": (simulator.simulate_chain(chain, config)
+                           / config.steps_per_trajectory).mean(),
     }
     return [values[metric] for metric in outputs]
 

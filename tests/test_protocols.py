@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,6 +233,19 @@ class TestClosedFormEquilibrium:
             pi = markov.equilibrium(chain.matrix)
             assert cf_equilibrium_shs(params) == pytest.approx(
                 pi[chain.success_state], abs=1e-12)
+
+    @pytest.mark.parametrize("pl, pr, ps", [
+        (1e-6, 1e-6, 1.0), (1e-12, 1e-12, 1.0), (1e-100, 3e-100, 0.5), (0.25, 0.9, 0.6),
+        (1e-3, 0.7, 0.2), (1.0, 1e-9, 1.0)])
+    def test_shs_vs_exact_fractions(self, pl, pr, ps):
+        # the closed form as written, in exact rationals: the float form must
+        # not lose digits to cancellation at small link probabilities
+        pl_, pr_, ps_ = (Fraction(x) for x in (pl, pr, ps))
+        ql, qr = 1 - pl_, 1 - pr_
+        exact = pl_ * pr_ * ps_ * (1 - ql * qr) / (
+            2 * pl_ * pr_ + ql * pr_**2 + qr * pl_**2 - pl_ * pr_ * ql * qr)
+        got = cf_equilibrium_shs(TwoLinkParams((pl,), (pr,), ps))
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**15) * exact
 
     def test_dhs_golden_equilibrium(self):
         # all rounds at 1/2 with a certain swap: success weight 25/233
