@@ -26,18 +26,18 @@ slot order that protocols names through the params' slot_names. It checks
 every column at once; if a point fails, the first failing point is rebuilt
 through its own check (the params constructor, or _nested_point), so the
 error is the one that point raises alone. Each block of points then passes
-its rows to the protocol's builder as one stack, with no params object per
-point; every chain metric, exact_var included, is one column of that stack,
-and the CSV rows come from one float table per block. A block's
-simulated_mean is one engine call over all its targets, simulate_chain on
-its stacked chain or simulate_nested on its (k, p) pairs, which draws each
-trajectory stream once and returns the counts per target and trajectory;
-_rate_stats turns them into rates. Each nested estimate is one call over its
-k and p columns. compare and simulate evaluate a one-row block the same
-way, from their params' .row, and take their statistics from _rate_stats.
-analyze builds its chain from one params object through build_chain. The
-argparse parser is built on the first main call and reused by later calls
-in the same process.
+its rows to its family's builder in protocols.FAMILIES as one stack, with no
+params object per point; every chain metric, exact_var included, is one
+column of that stack, and the CSV rows come from one float table per block.
+A block's simulated_mean is one engine call over all its targets,
+simulate_chain on its stacked chain or simulate_nested on its (k, p) pairs,
+which draws each trajectory stream once and returns the counts per target
+and trajectory; _rate_stats turns them into rates. Each nested estimate is
+one call over its k and p columns. compare and simulate evaluate a one-row
+block the same way, from their params' .row, and take their statistics from
+_rate_stats. analyze builds its chain through build_chain and its closed-form
+deltas from its family's pair in FAMILIES (null where there is none). The
+argparse parser is built on the first main call and reused by later calls.
 """
 from __future__ import annotations
 
@@ -172,15 +172,10 @@ def _params_from_args(args):
 # ----------------------------------------------------------------- analyze
 
 def _closed_form_deltas(params, chain, success, latency_mean, latency_var):
-    name = protocols.protocol_name(params)
-    if name == "multiherald":
-        cf_eq = protocols.cf_equilibrium_multiheralded(params)
-        cf_var = protocols.cf_latency_variance_multiheralded(params)
-    elif name == "shs":
-        cf_eq = protocols.cf_equilibrium_shs(params)
-        cf_var = protocols.cf_latency_variance_shs(params)
-    else:
+    closed_forms = protocols.FAMILIES[protocols.protocol_name(params)].closed_forms
+    if closed_forms is None:
         return None
+    cf_eq, cf_var = (form(params) for form in closed_forms)
     return {
         "equilibrium": abs(cf_eq - success),
         "latency_mean": abs(chain.tau / cf_eq - latency_mean),
@@ -239,7 +234,7 @@ class _Block:
 
     @functools.cached_property
     def chain(self) -> protocols.ProtocolChain:
-        return _PROTOCOLS[self.protocol].chain(self.rows, self.tau)
+        return protocols.FAMILIES[self.protocol].chain(self.rows, self.tau)
 
     @functools.cached_property
     def latency(self) -> tuple[np.ndarray, np.ndarray]:
@@ -322,11 +317,11 @@ def _multiherald_aliases(prob_names, fixed):
             raise CliValidationError(f"unknown multiherald parameter {name!r}")
     if not prob_names:
         raise CliValidationError("multiherald sweep names no round probabilities")
-    # the names are distinct (checked before), so they cover p1..pn if there are n
-    slots = protocols.MultiHeraldParams.slot_names(max(int(name[1:]) for name in prob_names))
-    if len(slots) != len(prob_names):
-        raise CliValidationError(
-            f"round probabilities must cover p1..p{len(slots)} with no gaps or repeats")
+    # the distinct names cover p1..pn if there are n, checked before any name is made
+    n = max(int(name[1:]) for name in prob_names)
+    if n != len(prob_names):
+        raise CliValidationError(f"round probabilities must cover p1..p{n} with no gaps or repeats")
+    slots = protocols.MultiHeraldParams.slot_names(n)
     return {slot: (slot,) for slot in slots}, slots
 
 
@@ -356,7 +351,7 @@ def _probability_bad(rows: np.ndarray, tau) -> np.ndarray:
 
 
 class _Protocol(NamedTuple):
-    """A sweep protocol's parameters and how its grid points are checked and built."""
+    """A sweep protocol's parameters and how its grid points are checked."""
 
     # parameter name -> the slots it sets; or, where the names fix the slot
     # count, a function of (names, fixed_params) giving that and the slots
@@ -368,28 +363,23 @@ class _Protocol(NamedTuple):
     bad: Callable
     # (one row as floats, tau) -> that point's own check: the params constructor
     point: Callable
-    # (rows, tau) -> one stacked chain; None for nested
-    chain: Callable | None
 
 
 _PROTOCOLS = {
     "multiherald": _Protocol(
         _multiherald_aliases, None, _probability_bad,
-        lambda row, tau: protocols.MultiHeraldParams(tuple(row)),
-        protocols.multiheralded_chain),
+        lambda row, tau: protocols.MultiHeraldParams(tuple(row))),
     "shs": _Protocol(
         {"pl": ("pl",), "pr": ("pr",), "ps": ("ps",), "p": ("pl", "pr")},
         protocols.TwoLinkParams.slot_names(1), _probability_bad,
-        lambda row, tau: protocols.TwoLinkParams.from_row(row),
-        protocols.two_link_chain),
+        lambda row, tau: protocols.TwoLinkParams.from_row(row)),
     "dhs": _Protocol(
         {"pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",), "ps": ("ps",),
          "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"), "pl": ("pl1", "pl2"),
          "pr": ("pr1", "pr2"), "p": ("pl1", "pl2", "pr1", "pr2")},
         protocols.TwoLinkParams.slot_names(2), _probability_bad,
-        lambda row, tau: protocols.TwoLinkParams.from_row(row),
-        protocols.two_link_chain),
-    "nested": _Protocol({"k": ("k",), "p": ("p",)}, ("k", "p"), _nested_bad, _nested_point, None),
+        lambda row, tau: protocols.TwoLinkParams.from_row(row)),
+    "nested": _Protocol({"k": ("k",), "p": ("p",)}, ("k", "p"), _nested_bad, _nested_point),
 }
 
 
@@ -521,7 +511,7 @@ class _SweepPlan:
             protocol.point(rows[bad[0]].tolist(), tau)
             raise AssertionError(f"grid point {bad[0]} failed no per-point check")
         self.tau = 1.0 if tau is None else tau
-        self.rows = rows if protocol.chain else list(zip(
+        self.rows = rows if self.protocol in protocols.FAMILIES else list(zip(
             np.rint(rows[:, 0]).astype(int).tolist(), rows[:, 1].tolist()))
 
 

@@ -23,8 +23,10 @@ the points' matrices, so a sweep builds and solves all of its points
 together (see markov) with no params object per point. A params object
 checks one point in its constructor and gives its slot row as .row
 (TwoLinkParams.from_row reads one back) and the names of its slots as
-slot_names; build_chain passes the row to its family's builder. Only this
-module knows the slot layout.
+slot_names. Only this module knows the slot layout.
+
+FAMILIES maps each protocol name to its params class, builder and closed
+forms; every per-family choice is a lookup there, by protocol_name.
 
 The success-state row always equals the failure-state row: after delivering
 a pair the protocol restarts exactly as after a failure. Closed-form results
@@ -37,7 +39,8 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -353,16 +356,27 @@ def cf_latency_variance_shs(params: TwoLinkParams) -> float:
     return first**2 - correction / (pl * pr * ps * both**2)
 
 
-PROTOCOL_NAMES = ("multiherald", "shs", "dhs")
+class Family(NamedTuple):
+    """A family's params class, its builder (rows, tau) -> ProtocolChain, and
+    its closed-form (equilibrium, latency variance) of one params object, or None."""
+
+    params: type
+    chain: Callable
+    closed_forms: tuple[Callable, Callable] | None
+
+
+FAMILIES = {
+    "multiherald": Family(MultiHeraldParams, multiheralded_chain,
+                          (cf_equilibrium_multiheralded, cf_latency_variance_multiheralded)),
+    "shs": Family(TwoLinkParams, two_link_chain, (cf_equilibrium_shs, cf_latency_variance_shs)),
+    "dhs": Family(TwoLinkParams, two_link_chain, None),
+}
+PROTOCOL_NAMES = tuple(FAMILIES)
 
 
 def build_chain(params, tau: float = 1.0) -> ProtocolChain:
     """The chain of one params object, from its slot row and its family's builder."""
-    if isinstance(params, MultiHeraldParams):
-        return multiheralded_chain(params.row, tau)
-    if isinstance(params, TwoLinkParams):
-        return two_link_chain(params.row, tau)
-    raise TypeError(f"unsupported params type {type(params).__name__}")
+    return FAMILIES[protocol_name(params)].chain(params.row, tau)
 
 
 def protocol_name(params) -> str:
@@ -374,44 +388,29 @@ def protocol_name(params) -> str:
 
 
 def params_to_json(params, tau: float = 1.0) -> str:
-    """Serialize a parameter set to the CLI's JSON schema."""
-    name = protocol_name(params)
-    if name == "multiherald":
-        doc = {"protocol": name, "round_probs": list(params.round_probs), "tau": float(tau)}
-    else:
-        doc = {"protocol": name,
-               "left_probs": list(params.left_probs),
-               "right_probs": list(params.right_probs),
-               "swap_prob": float(params.swap_prob),
-               "tau": float(tau)}
-    return json.dumps(doc)
+    """A parameter set in the CLI's JSON schema: the protocol name, the fields, tau."""
+    return json.dumps({"protocol": protocol_name(params), **asdict(params), "tau": float(tau)})
 
 
 def params_from_json(text: str):
-    """Parse the CLI's JSON schema back into (params, tau)."""
+    """Parse the CLI's JSON schema back into (params, tau): "protocol", every field
+    of the family's params class (each *_probs one a JSON array) and an optional "tau"."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or "protocol" not in doc:
         raise ProtocolError('params document must be an object with a "protocol" key')
     name = doc["protocol"]
     tau = _real("tau", doc.get("tau", 1.0))
-
-    def array(field: str) -> tuple:
-        if not isinstance(doc[field], list):
-            raise ProtocolError(f"{field} must be a JSON array, got {doc[field]!r}")
-        return tuple(doc[field])
-
-    if name == "multiherald":
-        extra = set(doc) - {"protocol", "round_probs", "tau"}
-        if extra or "round_probs" not in doc:
-            raise ProtocolError(f"bad multiherald params document (extra/missing keys: {extra or 'round_probs'})")
-        return MultiHeraldParams(array("round_probs")), tau
-    if name in ("shs", "dhs"):
-        extra = set(doc) - {"protocol", "left_probs", "right_probs", "swap_prob", "tau"}
-        missing = {"left_probs", "right_probs", "swap_prob"} - set(doc)
-        if extra or missing:
-            raise ProtocolError(f"bad {name} params document (extra {extra}, missing {missing})")
-        params = TwoLinkParams(array("left_probs"), array("right_probs"), doc["swap_prob"])
-        if protocol_name(params) != name:
-            raise HeraldCountError(f"herald count does not match protocol {name!r}")
-        return params, tau
-    raise ProtocolError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}")
+    if name not in PROTOCOL_NAMES:
+        raise ProtocolError(f"unknown protocol {name!r}; expected one of {PROTOCOL_NAMES}")
+    keys = [field.name for field in fields(FAMILIES[name].params)]
+    extra, missing = set(doc) - {"protocol", "tau", *keys}, set(keys) - set(doc)
+    if extra or missing:
+        raise ProtocolError(
+            f"bad {name} params document (extra {sorted(extra)}, missing {sorted(missing)})")
+    for key in keys:
+        if key.endswith("_probs") and not isinstance(doc[key], list):
+            raise ProtocolError(f"{key} must be a JSON array, got {doc[key]!r}")
+    params = FAMILIES[name].params(*(doc[key] for key in keys))
+    if protocol_name(params) != name:
+        raise HeraldCountError(f"herald count does not match protocol {name!r}")
+    return params, tau

@@ -523,6 +523,27 @@ class TestSweep:
         assert (error["category"], error["type"]) == ("validation", "CliValidationError")
         assert "1000000000000000 points" in error["message"]
 
+    def test_round_name_gap_is_found_before_making_names(self, capsys, tmp_path):
+        # p1 and p3000000 leave a gap; making the 3 M slot names p1..p3000000
+        # before the check would take about 190 MiB
+        spec = self.write_spec(tmp_path, {
+            "protocol": "multiherald", "varied_params": [],
+            "fixed_params": {"p1": 0.5, "p3000000": 0.5}, "outputs": ["equilibrium"],
+        })
+        dest = tmp_path / "never.csv"
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and not dest.exists()
+        error = json.loads(err)["error"]
+        assert (error["category"], error["type"]) == ("validation", "CliValidationError")
+        assert error["message"] == (
+            "round probabilities must cover p1..p3000000 with no gaps or repeats")
+        assert peak <= 16 * 2**20
+
     @pytest.mark.parametrize("payload", [
         {"protocol": "nested",
          "varied_params": [{"name": "k", "start": 1, "stop": 4, "count": 3}],
@@ -1071,14 +1092,3 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True)
         assert proc.stdout.strip() == "False"
-
-
-class TestScripts:
-    def test_validate_against_sim_runs(self):
-        root = Path(__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "validate_against_sim.py"),
-             "--steps", "2000", "--trajectories", "20"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert "two-link double-heralded" in proc.stdout

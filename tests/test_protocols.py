@@ -402,11 +402,19 @@ class TestParamsJson:
                 "right_probs": [0.5, 0.5], "swap_prob": 1.0, "tau": 1.0}))
 
     def test_rejects_missing_and_unknown_keys(self):
-        with pytest.raises(protocols.ProtocolError):
-            protocols.params_from_json(json.dumps({"protocol": "multiherald", "tau": 1.0}))
-        with pytest.raises(protocols.ProtocolError):
-            protocols.params_from_json(json.dumps(
-                {"protocol": "multiherald", "round_probs": [0.5], "tau": 1.0, "x": 1}))
+        shs = {"protocol": "shs", "left_probs": [0.5], "right_probs": [0.5]}
+        dhs = {"protocol": "dhs", "left_probs": [0.5, 0.5], "right_probs": [0.5, 0.5]}
+        docs = [
+            {"protocol": "multiherald", "tau": 1.0},
+            {"protocol": "multiherald", "round_probs": [0.5], "tau": 1.0, "x": 1},
+            shs, dhs,  # no swap_prob
+            {**shs, "swap_prob": 1.0, "x": 1},
+            {**dhs, "swap_prob": 1.0, "tau": 1.0, "round_count": 2},
+            {"protocol": "shs", "round_probs": [0.5], "tau": 1.0},
+        ]
+        for doc in docs:
+            with pytest.raises(protocols.ProtocolError, match="params document"):
+                protocols.params_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("doc, message", [
         ({"protocol": "multiherald", "round_probs": [True, "0.5"]},
