@@ -90,9 +90,19 @@ def _check_prob(name, value) -> float:
     return p
 
 
+MAX_ROUNDS = 64  # a multiherald chain's rounds: a 1024-point block of (n+1)^2 rows is 35 MB
+
+
+def _check_rounds(n: int) -> int:
+    """n, if a multiherald chain may have n rounds."""
+    if n > MAX_ROUNDS:
+        raise ProtocolError(f"a multiherald chain has at most {MAX_ROUNDS} rounds, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class MultiHeraldParams:
-    """Per-round success probabilities p1..pn of an n-round heralded link."""
+    """Per-round success probabilities p1..pn of an n-round heralded link, n <= MAX_ROUNDS."""
 
     round_probs: tuple[float, ...]
 
@@ -100,6 +110,7 @@ class MultiHeraldParams:
         probs = tuple(_check_prob(f"round_probs[{i}]", p) for i, p in enumerate(self.round_probs))
         if not probs:
             raise EmptyRoundsError("round_probs must list at least one round")
+        _check_rounds(len(probs))
         object.__setattr__(self, "round_probs", probs)
 
     @property
@@ -113,8 +124,8 @@ class MultiHeraldParams:
 
     @staticmethod
     def slot_names(n: int) -> tuple[str, ...]:
-        """The names of .row's n slots: p1..pn."""
-        return tuple(f"p{i}" for i in range(1, n + 1))
+        """The names of .row's n slots: p1..pn, n checked before any is made."""
+        return tuple(f"p{i}" for i in range(1, _check_rounds(n) + 1))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ chunk sizes. Trajectories are walked in vectorized lock-step batches, one
 batch after another on the calling thread; each trajectory still consumes
 only its own stream. The Philox keys of a whole batch are derived in one
 vectorized pass, by a port of SeedSequence's hash mixing, instead of one
-SeedSequence per trajectory. Both engines take a stack of points, draw each
-batch's streams once for all of them, and return int64 success counts, one
-row per point and one entry per trajectory.
+SeedSequence per trajectory. Both engines take a stack of points and read
+each batch's streams once for all of them, through one reader
+(_stream_windows), and return int64 success counts, one row per point and
+one entry per trajectory.
 
 The chain walker buckets each chunk of draws against the merged breakpoints
 of all cumulative rows of a point; a bucket fixes the next state from every
@@ -29,8 +30,8 @@ whole rows of the widest point. Every point turns its prefix of each window
 into next-success steps per link, and their maximum into a per-step
 round-end table: the step at which a round begun there has all its links.
 The rounds of a window are then a walk on a per-step successor table, one
-gather per round for the whole batch; the per-link steps are read only
-where a round crosses a window edge.
+gather per round for the whole batch; a round carried in from an earlier
+window enters the walk at its first step.
 """
 from __future__ import annotations
 
@@ -157,11 +158,19 @@ def _batches(total: int, size: int = _BATCH) -> list[range]:
     return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
-def _draw(gens, out: np.ndarray) -> np.ndarray:
-    """Fill out[i] with the next block of uniforms of generator i; returns out."""
-    for g, block in zip(gens, out):
-        g.random(out=block)
-    return out
+def _stream_windows(config: SimConfig, batch: range, total: int, window: int):
+    """Yield (lo, uniforms) per window of draws lo .. lo + window of batch's streams, in order.
+
+    Row i of uniforms holds trajectory batch[i]'s draws, the first total in
+    all; every window is a view of one buffer, which the next overwrites.
+    """
+    gens = _trajectory_generators(config, batch)
+    buf = np.empty(len(gens) * min(window, total))
+    for lo in range(0, total, window):
+        uniforms = buf[:len(gens) * min(window, total - lo)].reshape(len(gens), -1)
+        for g, row in zip(gens, uniforms):
+            g.random(out=row)
+        yield lo, uniforms
 
 
 def _walk_tables(cum: np.ndarray, grid: np.ndarray, success_state: int):
@@ -210,19 +219,16 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> np.ndarray:
     steps = config.steps_per_trajectory
     counts = np.zeros((len(tables), config.trajectories), dtype=np.int64)
     for batch in _batches(config.trajectories):
-        gens = _trajectory_generators(config, batch)
-        b = len(gens)
+        b = len(batch)
         chunk = max(1, _CHUNK_DRAWS // b)
         # one set of chunk buffers per batch, reused by every chunk and point:
         # fresh multi-megabyte arrays cost the walker a page fault per page
         # each time the allocator hands them back to the system
         size = min(chunk, steps) * b
-        draw_buf, (cell_buf, offset_buf), flag_buf = (
-            np.empty(size), np.empty((2, size), dtype=np.intp), np.empty(size, dtype=bool))
+        (cell_buf, offset_buf), flag_buf = np.empty((2, size), np.intp), np.empty(size, bool)
         states = np.full((len(tables), b), chain.start_state, dtype=np.intp)
-        for done in range(0, steps, chunk):
-            csize = min(chunk, steps - done)
-            uniforms = _draw(gens, draw_buf[:csize * b].reshape(b, csize))
+        for _, uniforms in _stream_windows(config, batch, steps, chunk):
+            csize = uniforms.shape[1]
             # cells, table offsets and flags in (step, trajectory) layout, so
             # that each step reads one contiguous row
             cells, offsets, flags = (buf[:csize * b].reshape(csize, b)
@@ -291,9 +297,10 @@ def _suffix_min(a: np.ndarray):
 
 class _Rounds:
     """One nested point's round state over a batch: the k, p, and per trajectory
-    the first step of its current round, the mask of that round's links not
-    seen to succeed in earlier windows, and its success count, in counts, the
-    batch's slice of the point's row of the call's counts."""
+    the first step of its current round (of the last window it entered, if
+    carried), the mask of that round's links not seen to succeed in earlier
+    windows, and its success count, in counts, the batch's slice of the
+    point's row of the call's counts."""
 
     def __init__(self, k: int, p: float, counts: np.ndarray):
         self.k, self.p, self.counts = k, p, counts
@@ -310,31 +317,21 @@ class _Rounds:
         every path; the next round begins at last[t] + 2^k. So the rounds of
         a trajectory in the window are a walk on the successor table
         t -> last[t] + 2^k, which stays put where that step is past the
-        window. The per-link steps are read only where a round is carried in
-        from, or left open into, another window. succ_buf is a flat int32
-        buffer of at least last.size entries.
+        window. A round carried in from an earlier window enters the walk at
+        step 0: advance rewrites row 0 of both tables for its trajectory, where
+        the links seen to succeed before read 0. The round where a walk stops
+        is scored once, or left open. succ_buf is a flat int32 buffer of at
+        least last.size entries.
         """
         start, missing, counts = self.start, self.missing, self.counts
         csize, b = last.shape
         jump = 1 << self.k
-
-        def close(rows, ends):
-            # score the rounds of rows that end at window step ends < csize and
-            # begin their successors; returns the mask of the rounds left open
-            still = ends >= csize
-            top = ends + np.int64(lo + jump - 1)
-            counts[rows] += ~still & (top < steps)
-            start[rows] = np.where(still, start[rows], top + 1)
-            return still
-
-        # a round begun in an earlier window ends at the last first success of
-        # its missing links; the links seen there succeeded before, and read 0
         carried = np.flatnonzero(start < lo)
-        if carried.size:
-            links = nxt[0, :, carried] * missing[carried]
-            still = close(carried, links.max(axis=1))
-            missing[carried[still]] = links[still] >= csize
-        live = np.flatnonzero((start >= lo) & (start < lo + csize))
+        links = nxt[0, :, carried] * missing[carried]
+        nxt[0, :, carried] = links
+        last[0, carried] = links.max(axis=1)
+        start[carried] = lo
+        live = np.flatnonzero(start < lo + csize)
         if not live.size:
             return
         # flat successor table: entry t * b + i holds the entry of the round
@@ -357,8 +354,11 @@ class _Rounds:
         # a round that moves the walk ends inside the window, so before steps
         counts[live] += np.count_nonzero(path[1:] != path[:-1], axis=0)
         pos = path[-1]
-        start[live] = lo + (pos - live) // b
-        still = close(live, last.ravel().take(pos))
+        ends = last.ravel().take(pos)
+        still = ends >= csize
+        top = ends + np.int64(lo + jump - 1)
+        counts[live] += ~still & (top < steps)
+        start[live] = np.where(still, lo + (pos - live) // b, top + 1)
         rows = live[still]
         missing[rows] = nxt[start[rows] - lo, :, rows] >= csize
 
@@ -376,13 +376,13 @@ def _stream_passes(points, b: int) -> list[list[int]]:
     return runs
 
 
-def _nested_pass(gens, rounds: list[_Rounds], steps: int):
-    """Advance every point of rounds over the first steps rows of its streams.
+def _nested_pass(config: SimConfig, batch: range, rounds: list[_Rounds], steps: int):
+    """Advance every point of rounds over the first steps rows of batch's streams.
 
-    Draws each stream once, in windows of whole rows of the widest point;
+    Reads each stream once, in windows of whole rows of the widest point;
     point (k, p) reads the first window / 2^k rows of 2^k draws of each.
     """
-    b = len(gens)
+    b = len(batch)
     width = 1 << max(r.k for r in rounds)
     total = steps * width
     # a window draw costs its float64 uniform and the int32 next-success step
@@ -393,14 +393,12 @@ def _nested_pass(gens, rounds: list[_Rounds], steps: int):
     # (plus the few walk steps that check the walk has stopped), 12 a draw
     # of _CHUNK_DRAWS
     window = min(max(1, 2 * _CHUNK_DRAWS // (3 * b * width)) * width, total)
-    draw_buf, nxt_buf = np.empty(b * window), np.empty(b * window, dtype=np.int32)
+    nxt_buf = np.empty(b * window, dtype=np.int32)
     last_buf, succ_buf = np.empty((2, b * window // 2), dtype=np.int32)
-    for lo in range(0, total, window):
-        size = min(window, total - lo)
-        uniforms = _draw(gens, draw_buf[:b * size].reshape(b, size))
+    for lo, uniforms in _stream_windows(config, batch, total, window):
         for r in rounds:
-            first = lo >> r.k  # lo and size are whole rows of every point
-            csize = min(size >> r.k, steps - first)
+            first = lo >> r.k  # lo and the window are whole rows of every point
+            csize = min(uniforms.shape[1] >> r.k, steps - first)
             if csize > 0:
                 rows = uniforms[:, :csize << r.k].reshape(b, csize, 1 << r.k)
                 r.advance(*_window_tables(rows, r.p, nxt_buf, last_buf), first, steps,
@@ -440,5 +438,5 @@ def simulate_nested(points, config: SimConfig) -> np.ndarray:
     for batch in _batches(config.trajectories, max(1, min(_BATCH, _CARRIED_LINKS // width))):
         for run in _stream_passes(points, len(batch)):
             rounds = [_Rounds(*points[i], counts[i, batch.start:batch.stop]) for i in run]
-            _nested_pass(_trajectory_generators(config, batch), rounds, steps)
+            _nested_pass(config, batch, rounds, steps)
     return counts

@@ -201,6 +201,17 @@ class TestAnalyze:
             assert code == 2, argv
             assert json.loads(err)["error"]["category"] == "validation"
 
+    def test_round_count_is_bounded(self, capsys):
+        code, _, _ = run_cli(capsys, "analyze", "--protocol", "multiherald",
+                             "--probs", ",".join(["1"] * protocols.MAX_ROUNDS))
+        assert code == 0
+        code, out, err = run_cli(capsys, "analyze", "--protocol", "multiherald",
+                                 "--probs", ",".join(["1"] * (protocols.MAX_ROUNDS + 1)))
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["category"], error["type"]) == ("validation", "ProtocolError")
+        assert error["message"] == "a multiherald chain has at most 64 rounds, got 65"
+
     @pytest.mark.parametrize("doc, field", [
         ({"protocol": "multiherald", "round_probs": [True, "0.5"]}, "round_probs[0]"),
         ({"protocol": "multiherald", "round_probs": "0.5"}, "round_probs"),
@@ -543,6 +554,35 @@ class TestSweep:
         assert error["message"] == (
             "round probabilities must cover p1..p3000000 with no gaps or repeats")
         assert peak <= 16 * 2**20
+
+    def test_tied_round_count_is_bounded_before_making_names(self, capsys, tmp_path):
+        # making the 10^9 slot names p1..p1000000000 would take tens of GiB
+        spec = self.write_spec(tmp_path, {
+            "protocol": "multiherald", "varied_params": [],
+            "fixed_params": {"p": 0.5, "n": 10**9}, "outputs": ["equilibrium"],
+        })
+        dest = tmp_path / "never.csv"
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and not dest.exists()
+        error = json.loads(err)["error"]
+        assert (error["category"], error["type"]) == ("validation", "ProtocolError")
+        assert error["message"] == "a multiherald chain has at most 64 rounds, got 1000000000"
+        assert peak <= 16 * 2**20
+
+    def test_per_round_count_is_bounded(self, capsys, tmp_path):
+        fixed = {f"p{i}": 0.5 for i in range(1, protocols.MAX_ROUNDS + 2)}
+        spec = self.write_spec(tmp_path, {"protocol": "multiherald", "varied_params": [],
+                                          "fixed_params": fixed, "outputs": ["equilibrium"]})
+        code, _, err = run_cli(capsys, "sweep", "--spec", spec,
+                               "--output", str(tmp_path / "never.csv"))
+        assert code == 2
+        assert json.loads(err)["error"]["message"] == (
+            "a multiherald chain has at most 64 rounds, got 65")
 
     @pytest.mark.parametrize("payload", [
         {"protocol": "nested",

@@ -130,6 +130,18 @@ class TestLatency:
         pi = markov.equilibrium(chain.matrix)
         assert mean == pytest.approx(1.0 / pi[chain.success_state], rel=1e-10)
 
+    @pytest.mark.parametrize("builder, slots", [
+        (protocols.multiheralded_chain, 3), (protocols.two_link_chain, 3),
+        (protocols.two_link_chain, 5)], ids=["multiherald", "shs", "dhs"])
+    def test_equilibrium_times_mean_latency_is_tau(self, builder, slots):
+        # the success row equals the start row, so pi_S * t_start = 1 exactly
+        # in steps: an exact gate between the equilibrium and the hitting solve
+        rows = np.random.default_rng(11).uniform(0.05, 0.95, (600, slots))
+        chain = builder(rows, 2.5)
+        mean, _ = estimators.estimate_latency(chain)
+        product = chain.equilibrium[:, chain.success_state] * mean
+        assert np.max(np.abs(product / 2.5 - 1)) <= 1e-12
+
     def test_negative_variance_rejected(self, monkeypatch):
         # hitting_stats lets a variance down to -1e-9 steps^2 through; the
         # latency in time units must not go below -1e-12
