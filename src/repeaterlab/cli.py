@@ -424,10 +424,15 @@ class _SweepPlan:
 
         axes = []  # (name, (start, stop, count)), made linspaces once the grid fits
         for entry in spec["varied_params"]:
-            missing = {"name", "start", "stop", "count"} - set(entry)
+            keys = {"name", "start", "stop", "count"}
+            unknown, missing = set(entry) - keys, keys - set(entry)
+            if unknown:
+                raise CliValidationError(f"unknown varied_params entry keys {sorted(unknown)}")
             if missing:
                 raise CliValidationError(f"varied_params entry is missing {sorted(missing)}")
             name = entry["name"]
+            if not isinstance(name, str):
+                raise CliValidationError(f"varied_params name must be a string, got {name!r}")
             if name in _RESERVED_FIXED:
                 raise CliValidationError(f"{name!r} may only appear in fixed_params")
             count = _require_int(f"count for {name!r}", entry["count"], 2)

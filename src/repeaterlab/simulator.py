@@ -26,12 +26,13 @@ into its own table offsets and walks them.
 The nested engine steps from round to round, not slot by slot: a round's
 top pair forms 2^k - 1 steps after the last success of its links. A call
 takes many (k, p) points and draws each batch's streams once, in windows of
-whole rows of the widest point. Every point turns its prefix of each window
-into next-success steps per link, and their maximum into a per-step
-round-end table: the step at which a round begun there has all its links.
-The rounds of a window are then a walk on a per-step successor table, one
-gather per round for the whole batch; a round carried in from an earlier
-window enters the walk at its first step.
+whole rows of the widest point; a batch holds as many trajectories as keep
+all the points' links within _CARRIED_LINKS, and at least one. Every point
+turns its prefix of each window into next-success steps per link, and their
+maximum into a per-step round-end table: the step at which a round begun
+there has all its links. The rounds of a window are then a walk on a
+per-step successor table, one gather per round for the whole batch; a
+round carried in from an earlier window enters the walk at its first step.
 """
 from __future__ import annotations
 
@@ -51,8 +52,8 @@ _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the chunk arr
                       # and table offset, a bool flag; at most 18 in the nested engine,
                       # whose windows hold 2/3 as many draws: see _nested_pass)
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
-_CARRIED_LINKS = 2**20  # link flags a nested stream pass carries between windows: a batch
-                        # holds at most 2^20 / 2^k trajectories, more points take more passes
+_CARRIED_LINKS = 2**20  # link flags a nested batch carries between windows, over all its
+                        # points: 2^20 / sum(2^k) trajectories a batch, at least one
 MAX_TRAJECTORIES = 2**32  # spawn keys are one 32-bit word, as _spawn_keys assumes
 
 # SeedSequence's hash constants (numpy.random.bit_generator)
@@ -363,19 +364,6 @@ class _Rounds:
         missing[rows] = nxt[start[rows] - lo, :, rows] >= csize
 
 
-def _stream_passes(points, b: int) -> list[list[int]]:
-    """Runs of consecutive point indices whose carried links, b * 2^k per
-    point, fit in _CARRIED_LINKS (the batch size keeps every point within it)."""
-    runs, used = [], 0
-    for i, (k, _) in enumerate(points):
-        if not runs or used + (b << k) > _CARRIED_LINKS:
-            runs.append([])
-            used = 0
-        runs[-1].append(i)
-        used += b << k
-    return runs
-
-
 def _nested_pass(config: SimConfig, batch: range, rounds: list[_Rounds], steps: int):
     """Advance every point of rounds over the first steps rows of batch's streams.
 
@@ -422,21 +410,23 @@ def simulate_nested(points, config: SimConfig) -> np.ndarray:
     T + 1. Each trajectory reads one row of 2^k uniforms per step, as a
     slot-by-slot engine would, so point (k, p) reads the first
     steps * 2^k draws of each stream whatever the other points are. A batch
-    holds at most _CARRIED_LINKS / 2^k trajectories of the widest point. The
-    points share one pass over each batch's streams (see _nested_pass), or
-    a few where their carried state would exceed _CARRIED_LINKS (see
-    _stream_passes). Returns the int64 success counts of every trajectory,
-    one row per point: shape (len(points), trajectories).
+    holds _CARRIED_LINKS / sum(2^k) trajectories, the sum over every point,
+    at least one and at most _BATCH, so all the points share one pass over
+    each batch's streams (see _nested_pass); a stack wider than
+    _CARRIED_LINKS links carries its own width, at most 4 MiB of link flags
+    for a 1024-point block at k = 12. Returns the int64 success counts of
+    every trajectory, one row per point: shape (len(points), trajectories).
     """
     points = list(points)
     for k, p in points:
         check_nested(k, p)
     points = [(int(k), p) for k, p in points]  # numpy integers would shift in their own dtype
     steps = config.steps_per_trajectory
-    width = 1 << max((k for k, _ in points), default=0)
     counts = np.zeros((len(points), config.trajectories), dtype=np.int64)
-    for batch in _batches(config.trajectories, max(1, min(_BATCH, _CARRIED_LINKS // width))):
-        for run in _stream_passes(points, len(batch)):
-            rounds = [_Rounds(*points[i], counts[i, batch.start:batch.stop]) for i in run]
-            _nested_pass(config, batch, rounds, steps)
+    if not points:
+        return counts  # no links to size a batch by
+    size = max(1, min(_BATCH, _CARRIED_LINKS // sum(1 << k for k, _ in points)))
+    for batch in _batches(config.trajectories, size):
+        _nested_pass(config, batch, [_Rounds(k, p, row[batch.start:batch.stop])
+                                     for (k, p), row in zip(points, counts)], steps)
     return counts

@@ -485,6 +485,14 @@ class TestSweep:
             {"protocol": "nested", "varied_params": [],
              "fixed_params": {"k": 1, "p": 0.5, "seed": 3}, "outputs": ["nested_type1"]},
         ]
+        # varied_params entries: no key beyond name, start, stop and count,
+        # and a string name
+        bad_entries = [
+            ("unknown varied_params entry keys ['scale']",
+             {"name": "p", "start": 0.1, "stop": 0.9, "count": 3, "scale": "log"}),
+            ("varied_params name must be a string",
+             {"name": ["p"], "start": 0.1, "stop": 0.9, "count": 3}),
+        ]
         # spec shapes: outputs a list of names, varied_params a list of
         # objects, fixed_params an object; the error names the key
         shs_pl = {"name": "pl", "start": 0.5, "stop": 0.6, "count": 2}
@@ -505,7 +513,12 @@ class TestSweep:
                                "fixed_params": {"pr": 0.5, "ps": 0.9},
                                "outputs": ["equilibrium"]}),
         ]
-        for key, payload in [(None, payload) for payload in bad_specs] + bad_shapes:
+        cases = ([(None, payload) for payload in bad_specs]
+                 + [(f"{key} must be", payload) for key, payload in bad_shapes]
+                 + [(message, {"protocol": "shs", "varied_params": [entry],
+                               "fixed_params": {"ps": 1.0}, "outputs": ["equilibrium"]})
+                    for message, entry in bad_entries])
+        for message, payload in cases:
             spec = self.write_spec(tmp_path, payload)
             dest = tmp_path / "never.csv"
             code, _, err = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
@@ -513,8 +526,8 @@ class TestSweep:
             assert not dest.exists()
             error = json.loads(err)["error"]
             assert (error["category"], error["type"]) == ("validation", "CliValidationError")
-            if key is not None:
-                assert error["message"].startswith(f"{key} must be"), error
+            if message is not None:
+                assert error["message"].startswith(message), error
 
     def test_oversized_grid_is_a_validation_error(self, capsys, tmp_path):
         # 10^15 points take 7.1 PiB, beyond any address space, so allocating

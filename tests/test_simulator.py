@@ -370,31 +370,37 @@ class TestNestedEngine:
         np.testing.assert_array_equal(
             stacked, [simulate_nested([point], cfg)[0] for point in self.STACK])
 
-    def test_stream_passes_split_by_carried_links(self, monkeypatch):
-        # a budget of 1024 trajectories x 32 links splits the first batch's
-        # points into 5 passes, each building its generators; the 6
-        # trajectories of the second batch fit one pass
+    @pytest.mark.parametrize("budget", [32 * 1024, 8 * 1024])
+    def test_batch_sized_from_the_whole_stack(self, budget, monkeypatch):
+        # the 100 links of STACK cap a batch at budget // 100 trajectories
+        # (327 or 81); each batch builds its generators once, for one pass
+        # over all the points
         cfg = SimConfig(seed=47, steps_per_trajectory=60, trajectories=1030)
         expect = simulate_nested(self.STACK, cfg)
         build, batches = simulator._trajectory_generators, []
         monkeypatch.setattr(simulator, "_trajectory_generators",
                             lambda config, batch: batches.append(batch) or build(config, batch))
-        monkeypatch.setattr(simulator, "_CARRIED_LINKS", 1024 * 32)
+        monkeypatch.setattr(simulator, "_CARRIED_LINKS", budget)
         np.testing.assert_array_equal(simulate_nested(self.STACK, cfg), expect)
-        assert batches == [range(0, 1024)] * 5 + [range(1024, 1030)]
+        assert batches == simulator._batches(1030, budget // 100)
 
-    def test_batch_capped_by_widest_point(self, monkeypatch):
-        # a budget of 8 * 1024 links caps batches at 256 trajectories of the
-        # 2^5 links of the widest point; each full batch again takes 5 passes
-        cfg = SimConfig(seed=47, steps_per_trajectory=60, trajectories=1030)
-        expect = simulate_nested(self.STACK, cfg)
+    def test_wide_stack_reads_each_stream_once(self, monkeypatch):
+        # 8 points of 2^12 links carry 2^15 links a trajectory: batches of 32
+        # trajectories, each of whose streams is built once for all 8 points;
+        # a batch draws 1 MiB a window and carries 1 MiB of link flags
+        cfg = SimConfig(seed=5, steps_per_trajectory=2, trajectories=256)
         build, batches = simulator._trajectory_generators, []
         monkeypatch.setattr(simulator, "_trajectory_generators",
                             lambda config, batch: batches.append(batch) or build(config, batch))
-        monkeypatch.setattr(simulator, "_CARRIED_LINKS", 8 * 1024)
-        np.testing.assert_array_equal(simulate_nested(self.STACK, cfg), expect)
-        assert batches == [range(lo, lo + 256) for lo in range(0, 1024, 256) for _ in range(5)] \
-            + [range(1024, 1030)]
+        tracemalloc.start()
+        try:
+            counts = simulate_nested([(12, p) for p in np.linspace(0.2, 0.9, 8)], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.shape == (8, 256) and not counts.any()  # a round takes 2^12 steps
+        assert [i for batch in batches for i in batch] == list(range(256))
+        assert peak <= 8 * 2**20
 
     def test_memory_stays_bounded_at_the_widest_level(self):
         # at 2^12 links a batch of 1024 trajectories carried 32 MiB of int64
