@@ -6,11 +6,12 @@ Subcommands
     simulate  Monte Carlo run, per-trajectory CSV + JSON summary
     compare   analytical vs simulated rate with a sigma-distance column
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure. Errors are
-emitted as one JSON object on stderr. CSV cells use 17 significant digits
-with '.' as the decimal separator; non-finite values abort with exit 3
-instead of being written. File outputs are written to a temporary file and
-renamed into place, so a failed run never leaves a partial file behind.
+Exit codes: 0 success, 2 validation error, 3 numerical failure. Errors,
+bad flags included, are emitted as one JSON object on stderr. CSV cells use
+17 significant digits with '.' as the decimal separator; non-finite values
+abort with exit 3 instead of being written. File outputs are written to a
+temporary file and renamed into place, so a failed run never leaves a
+partial file behind; they get the mode a plain write gives under the umask.
 
 Units: a chain step lasts tau time units (default 1.0). Sweep columns:
 equilibrium, nested_type1, nested_type2 and simulated_mean are successes per
@@ -77,6 +78,14 @@ class CliValidationError(ValueError):
     """Bad flag combination, malformed spec file, or inconsistent inputs."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through add_subparsers its subparsers, whose usage errors
+    raise CliValidationError, so that main reports them like any other."""
+
+    def error(self, message):
+        raise CliValidationError(message)
+
+
 class NumericalOutputError(Exception):
     """A result that should be finite is NaN or infinite."""
 
@@ -98,6 +107,11 @@ def _atomic_write(path: str, text: str):
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".rlab-", suffix=".part")
     try:
+        # mkstemp makes the file owner-only; give it the mode a plain write
+        # would, under the process umask (read by setting it and back)
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, target)
@@ -670,7 +684,7 @@ def _add_sim_flags(parser: argparse.ArgumentParser):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first main call and reused after it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repeaterlab",
         description="Analytical and Monte Carlo statistics for repeater-chain "
                     "entanglement distribution protocols.")
@@ -708,8 +722,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (NumericalOutputError, markov.MarkovError, np.linalg.LinAlgError,
             ArithmeticError) as exc:

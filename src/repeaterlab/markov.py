@@ -136,7 +136,8 @@ def hitting_stats(matrix: StochasticMatrix, target: int) -> tuple[np.ndarray, np
     Returns two read-only vectors indexed by start state, shape (..., n)
     for a stack of chains; both are 0 at the target itself. With
     N = (I - Q)^-1, where Q is P with the target row and column removed,
-    the means are t = N 1 and the variances (2N - I) t - t*t.
+    the means are t = N 1 and the variances (2N - I) t - t*t; a variance
+    down to -1e-9 steps^2 is round-off, returned as 0.
 
     Raises:
         SingularMatrixError: I - Q is singular or too ill-conditioned for
@@ -167,5 +168,5 @@ def hitting_stats(matrix: StochasticMatrix, target: int) -> tuple[np.ndarray, np
             f"hitting variance came out negative or NaN ({float(var.min())!r}); "
             "ill-conditioned chain")
     means, variances = np.zeros(rows.shape[:-1]), np.zeros(rows.shape[:-1])
-    means[..., keep], variances[..., keep] = t, var
+    means[..., keep], variances[..., keep] = t, np.maximum(var, 0.0)
     return _readonly(means), _readonly(variances)

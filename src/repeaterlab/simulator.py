@@ -50,7 +50,7 @@ _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 100
 _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the chunk arrays (25
                       # bytes per draw in the walker: the float64 draw, its intp cell
                       # and table offset, a bool flag; at most 18 in the nested engine,
-                      # whose windows hold 2/3 as many draws: see _nested_pass)
+                      # whose windows hold 2/3 as many draws: see simulate_nested)
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
 _CARRIED_LINKS = 2**20  # link flags a nested batch carries between windows, over all its
                         # points: 2^20 / sum(2^k) trajectories a batch, at least one
@@ -253,28 +253,27 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> np.ndarray:
     return counts.reshape(rows.shape[:-2] + (config.trajectories,))
 
 
-def _window_tables(rows: np.ndarray, p: float, nxt_buf: np.ndarray, last_buf: np.ndarray):
+def _window_tables(rows: np.ndarray, p: float):
     """Next-success and round-end tables of a window of uniform rows (batch, csize, leaves).
 
     Both tables are step-major with the batch innermost, so that every
     numpy pass runs along rows of leaves * batch or batch entries, however
     few steps a window holds (see _suffix_min). The next-success table,
-    (csize, leaves, batch) int32 in nxt_buf: nxt[t, l, i] is the first
-    step >= t of the window, counted from its start, at which link l of
-    trajectory i succeeds, or csize if none does. The round-end table,
-    (csize, batch) int32 in last_buf, is its largest entry over the links:
-    last[t, i] is the step at which a round begun at t has all its links,
-    or csize if it does not finish in the window. Both buffers are flat,
-    with at least rows.size and csize * batch entries.
+    (csize, leaves, batch) int32: nxt[t, l, i] is the first step >= t of
+    the window, counted from its start, at which link l of trajectory i
+    succeeds, or csize if none does. The round-end table, (csize, batch)
+    int32, is its largest entry over the links: last[t, i] is the step at
+    which a round begun at t has all its links, or csize if it does not
+    finish in the window.
     """
     b, csize, leaves = rows.shape
-    nxt = nxt_buf[:rows.size].reshape(csize, leaves, b)
+    nxt = np.empty((csize, leaves, b), dtype=np.int32)
     np.less(rows.transpose(1, 2, 0), p, out=nxt)
     # t where link l succeeds at step t, else csize
     nxt *= (np.arange(csize, dtype=np.int32) - np.int32(csize))[:, None, None]
     nxt += np.int32(csize)
     _suffix_min(nxt.reshape(csize, leaves * b))
-    return nxt, np.maximum.reduce(nxt, axis=1, out=last_buf[:csize * b].reshape(csize, b))
+    return nxt, np.maximum.reduce(nxt, axis=1)
 
 
 def _suffix_min(a: np.ndarray):
@@ -308,11 +307,12 @@ class _Rounds:
         self.start = np.zeros(len(counts), dtype=np.int64)
         self.missing = np.ones((len(counts), 1 << k), dtype=bool)
 
-    def advance(self, nxt: np.ndarray, last: np.ndarray, lo: int, steps: int,
-                succ_buf: np.ndarray):
-        """Resolve every round that ends in the window of steps lo .. lo + last.shape[0].
+    def advance(self, uniforms: np.ndarray, lo: int, steps: int):
+        """Resolve every round that ends in the window of steps lo .. lo + csize.
 
-        nxt and last are the window's tables (see _window_tables). A round
+        uniforms holds the window's draws, row i those of trajectory i; the
+        window is its prefix of csize rows of 2^k draws each, cut at steps,
+        and the tables are built from it (see _window_tables). A round
         begun at window step t has all its links at last[t], and its top pair
         forms 2^k - 1 steps later, since every level adds the same delay on
         every path; the next round begins at last[t] + 2^k. So the rounds of
@@ -321,11 +321,15 @@ class _Rounds:
         window. A round carried in from an earlier window enters the walk at
         step 0: advance rewrites row 0 of both tables for its trajectory, where
         the links seen to succeed before read 0. The round where a walk stops
-        is scored once, or left open. succ_buf is a flat int32 buffer of at
-        least last.size entries.
+        is scored once, or left open.
         """
+        b = len(uniforms)
+        csize = min(uniforms.shape[1] >> self.k, steps - lo)
+        if csize <= 0:
+            return
+        nxt, last = _window_tables(
+            uniforms[:, :csize << self.k].reshape(b, csize, 1 << self.k), self.p)
         start, missing, counts = self.start, self.missing, self.counts
-        csize, b = last.shape
         jump = 1 << self.k
         carried = np.flatnonzero(start < lo)
         links = nxt[0, :, carried] * missing[carried]
@@ -338,8 +342,7 @@ class _Rounds:
         # flat successor table: entry t * b + i holds the entry of the round
         # after the one trajectory i begins at t, or its own where that one
         # begins past the window
-        succ = succ_buf[:last.size].reshape(csize, b)
-        np.add(last, jump, out=succ)
+        succ = last + jump
         np.copyto(succ, np.arange(csize, dtype=np.int32)[:, None], where=succ >= csize)
         succ *= np.int32(b)
         succ += np.arange(b, dtype=np.int32)
@@ -364,35 +367,6 @@ class _Rounds:
         missing[rows] = nxt[start[rows] - lo, :, rows] >= csize
 
 
-def _nested_pass(config: SimConfig, batch: range, rounds: list[_Rounds], steps: int):
-    """Advance every point of rounds over the first steps rows of batch's streams.
-
-    Reads each stream once, in windows of whole rows of the widest point;
-    point (k, p) reads the first window / 2^k rows of 2^k draws of each.
-    """
-    b = len(batch)
-    width = 1 << max(r.k for r in rounds)
-    total = steps * width
-    # a window draw costs its float64 uniform and the int32 next-success step
-    # one point at a time makes of it, whose suffix minimum runs in place; a
-    # step, 2^k >= 2 draws, costs its int32 round-end and successor entries,
-    # and a round, at least 2^k >= 2 steps, its int32 entry of the walk's
-    # path, held twice while the path is stacked: at most 18 bytes a draw
-    # (plus the few walk steps that check the walk has stopped), 12 a draw
-    # of _CHUNK_DRAWS
-    window = min(max(1, 2 * _CHUNK_DRAWS // (3 * b * width)) * width, total)
-    nxt_buf = np.empty(b * window, dtype=np.int32)
-    last_buf, succ_buf = np.empty((2, b * window // 2), dtype=np.int32)
-    for lo, uniforms in _stream_windows(config, batch, total, window):
-        for r in rounds:
-            first = lo >> r.k  # lo and the window are whole rows of every point
-            csize = min(uniforms.shape[1] >> r.k, steps - first)
-            if csize > 0:
-                rows = uniforms[:, :csize << r.k].reshape(b, csize, 1 << r.k)
-                r.advance(*_window_tables(rows, r.p, nxt_buf, last_buf), first, steps,
-                          succ_buf)
-
-
 def simulate_nested(points, config: SimConfig) -> np.ndarray:
     """Discrete-time simulation of 2^k-link nested swapping chains at each (k, p).
 
@@ -412,7 +386,8 @@ def simulate_nested(points, config: SimConfig) -> np.ndarray:
     steps * 2^k draws of each stream whatever the other points are. A batch
     holds _CARRIED_LINKS / sum(2^k) trajectories, the sum over every point,
     at least one and at most _BATCH, so all the points share one pass over
-    each batch's streams (see _nested_pass); a stack wider than
+    each batch's streams, window by window of whole rows of the widest
+    point, which each point turns into its own tables; a stack wider than
     _CARRIED_LINKS links carries its own width, at most 4 MiB of link flags
     for a 1024-point block at k = 12. Returns the int64 success counts of
     every trajectory, one row per point: shape (len(points), trajectories).
@@ -426,7 +401,18 @@ def simulate_nested(points, config: SimConfig) -> np.ndarray:
     if not points:
         return counts  # no links to size a batch by
     size = max(1, min(_BATCH, _CARRIED_LINKS // sum(1 << k for k, _ in points)))
+    width = 1 << max(k for k, _ in points)
     for batch in _batches(config.trajectories, size):
-        _nested_pass(config, batch, [_Rounds(k, p, row[batch.start:batch.stop])
-                                     for (k, p), row in zip(points, counts)], steps)
+        rounds = [_Rounds(k, p, row[batch.start:batch.stop]) for (k, p), row in zip(points, counts)]
+        # a window draw costs its float64 uniform and the int32 next-success step
+        # one point at a time makes of it, whose suffix minimum runs in place; a
+        # step, 2^k >= 2 draws, costs its int32 round-end and successor entries,
+        # and a round, at least 2^k >= 2 steps, its int32 entry of the walk's
+        # path, held twice while the path is stacked: at most 18 bytes a draw
+        # (plus the few walk steps that check the walk has stopped), 12 a draw
+        # of _CHUNK_DRAWS
+        window = max(1, 2 * _CHUNK_DRAWS // (3 * len(batch) * width)) * width
+        for lo, uniforms in _stream_windows(config, batch, steps * width, window):
+            for r in rounds:
+                r.advance(uniforms, lo >> r.k, steps)  # windows are whole rows of every point
     return counts

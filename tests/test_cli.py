@@ -164,6 +164,20 @@ class TestAnalyze:
         report = json.loads(dest.read_text())
         assert report["latency"]["mean"] == pytest.approx(11 / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["022", "077"])
+    def test_output_file_mode_follows_umask(self, capsys, tmp_path, umask, mode):
+        # as a plain write would make it, not mkstemp's owner-only 0600
+        dest = tmp_path / "report.json"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "analyze", "--protocol", "shs", "--pl", "0.5",
+                                 "--pr", "0.5", "--ps", "1", "--output", str(dest))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert dest.stat().st_mode & 0o777 == mode
+
     def test_params_json_input(self, capsys, tmp_path):
         src = tmp_path / "params.json"
         src.write_text(protocols.params_to_json(
@@ -237,10 +251,26 @@ class TestAnalyze:
         assert code == 3
         assert json.loads(err)["error"]["category"] == "numerical"
 
-    def test_unknown_flag_exits_2(self):
+    def test_unknown_flag_exits_2(self, capsys):
+        # an argparse error is one validation JSON line, with no usage block
+        cases = [
+            (("analyze", "--nope"), "unrecognized arguments: --nope"),
+            (("analyze", "--pl", "abc"), "argument --pl: invalid"),
+            (("simulate", "--nested", "--k", "2.5"), "argument --k: invalid int value"),
+        ]
+        for argv, message in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            line, = err.splitlines()
+            error = json.loads(line)["error"]
+            assert (error["category"], error["type"]) == ("validation", "CliValidationError")
+            assert error["message"].startswith(message), argv
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--nope"])
-        assert exc.value.code == 2
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repeaterlab analyze")
 
     def test_overflowing_variance_gives_one_json_line(self):
         # at p1 = 5e-177 the hitting variance overflows to NaN: stderr carries
@@ -746,6 +776,21 @@ class TestSweep:
         assert mean_latency == pytest.approx(22 / 3, rel=1e-12)
         assert naive_var == pytest.approx((3 / 11) * (8 / 11) / 400, rel=1e-12)
 
+    def test_round_off_latency_variance_gives_zero_spread(self, capsys, tmp_path):
+        # at ps = 1 the hitting variance of this dhs point comes out near
+        # -1.8e-15 steps^2, which is round-off: the spread is 0, with no
+        # NaN and no numpy warning
+        spec = self.write_spec(tmp_path, {
+            "protocol": "dhs",
+            "varied_params": [{"name": "ps", "start": 0.5, "stop": 1.0, "count": 2}],
+            "fixed_params": {"pl1": 1.0, "pl2": 0.9999999999999996,
+                             "pr1": 0.9999999999999999, "pr2": 1.0},
+            "outputs": ["latency_std_over_mean"],
+        })
+        dest = tmp_path / "spread.csv"
+        assert run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest)) == (0, "", "")
+        assert dest.read_text().splitlines()[-1] == "1,0"
+
     def test_one_equilibrium_solve_per_point(self, capsys, tmp_path, monkeypatch):
         # one stacked solve covers every point, exact_var's included
         solves = []
@@ -979,6 +1024,19 @@ class TestFigureSpecs:
     def test_nested_spec_declares_seed(self):
         spec = json.loads((FIGURES / "nested_throughput_vs_estimates.json").read_text())
         assert "seed" in spec["fixed_params"]
+
+    def test_make_figure_data_script(self, tmp_path):
+        # the end-to-end figure run, on one spec; a filter that matches no
+        # spec is an error
+        script = FIGURES.parent / "scripts" / "make_figure_data.py"
+        name = "bkp_equilibrium_surface"
+        run = [sys.executable, str(script), "--out-dir", str(tmp_path), "--only"]
+        proc = subprocess.run([*run, name], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+        assert digest == FIGURE_DIGESTS[name]
+        proc = subprocess.run([*run, "nomatch"], capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stderr == "no specs matched\n"
 
     @pytest.mark.parametrize("name", sorted(FIGURE_DIGESTS))
     def test_figure_csv(self, capsys, tmp_path, name):

@@ -76,6 +76,14 @@ class TestThroughput:
              for N in (10_000, 100_000)]
         assert c[1] == pytest.approx(c[0], rel=1e-5)
 
+    @pytest.mark.parametrize("tau", [1.0, 1e-4])
+    def test_round_off_exact_variance_is_zero_at_every_tau(self, tau):
+        # near -8e-20 per step^2 at this dhs point: round-off, checked before
+        # the division by tau^2, so 0 at every tau
+        chain = build_chain(TwoLinkParams((0.999999999999999, 1.0),
+                                          (0.999999999999999, 1.0), 1.0), tau)
+        assert estimators.exact_throughput_variance(chain, 1000) == 0.0
+
     def test_exact_variance_scales_with_tau(self):
         a = estimators.exact_throughput_variance(bkp(0.4, 0.6, tau=1.0), 40)
         b = estimators.exact_throughput_variance(bkp(0.4, 0.6, tau=0.5), 40)
@@ -142,14 +150,15 @@ class TestLatency:
         product = chain.equilibrium[:, chain.success_state] * mean
         assert np.max(np.abs(product / 2.5 - 1)) <= 1e-12
 
-    def test_negative_variance_rejected(self, monkeypatch):
-        # hitting_stats lets a variance down to -1e-9 steps^2 through; the
-        # latency in time units must not go below -1e-12
-        chain = bkp(0.5, 0.5, tau=1.0)
-        monkeypatch.setattr(markov, "hitting_stats",
-                            lambda matrix, target: (np.ones(3), np.full(3, -1e-10)))
-        with pytest.raises(estimators.ArgumentRangeError, match="variance"):
-            estimators.estimate_latency(chain)
+    @pytest.mark.parametrize("tau", [1.0, 1000.0])
+    def test_round_off_variance_is_zero_at_every_tau(self, tau):
+        # at this dhs point the hitting variance comes out near -1.8e-15
+        # steps^2: round-off, so 0 at every tau, neither negative nor an error
+        chain = build_chain(TwoLinkParams((1.0, 0.9999999999999996),
+                                          (0.9999999999999999, 1.0), 1.0), tau)
+        mean, var = estimators.estimate_latency(chain)
+        assert mean == pytest.approx(3.0 * tau, rel=1e-12)
+        assert var == 0.0
 
 
 class TestPairs:

@@ -307,8 +307,7 @@ class TestNestedEngine:
         # last of those: csize where a link or a round does not finish
         b, csize, leaves = 3, 23, 1 << k
         rows = np.random.default_rng(k).random((b, csize, leaves))
-        nxt, last = simulator._window_tables(rows, p, np.empty(rows.size + 5, np.int32),
-                                             np.empty(b * csize + 5, np.int32))
+        nxt, last = simulator._window_tables(rows, p)
         for i, t in itertools.product(range(b), range(csize)):
             ends = [next((s for s in range(t, csize) if rows[i, s, link] < p), csize)
                     for link in range(leaves)]
