@@ -11,7 +11,9 @@ bad flags included, are emitted as one JSON object on stderr. CSV cells use
 17 significant digits with '.' as the decimal separator; non-finite values
 abort with exit 3 instead of being written. File outputs are written to a
 temporary file and renamed into place, so a failed run never leaves a
-partial file behind; they get the mode a plain write gives under the umask.
+partial file behind. They get what a plain write would give: an existing
+file keeps its mode, a new one follows the umask, and a symlinked path
+rewrites the file the link points to.
 
 Units: a chain step lasts tau time units (default 1.0). Sweep columns:
 equilibrium, nested_type1, nested_type2 and simulated_mean are successes per
@@ -48,6 +50,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -104,14 +107,20 @@ def _assert_finite_tree(obj, path="report"):
 
 
 def _atomic_write(path: str, text: str):
-    target = os.path.abspath(path)
+    # through any symlink, so that the link stays and its target is rewritten
+    target = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".rlab-", suffix=".part")
     try:
         # mkstemp makes the file owner-only; give it the mode a plain write
-        # would, under the process umask (read by setting it and back)
-        umask = os.umask(0o077)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+        # would: an existing file's own, else 0o666 under the process umask
+        # (read by setting it and back)
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0o077)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, target)
@@ -129,7 +138,10 @@ def _emit(text: str, output_path):
 
 
 def _comma_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma-separated numbers: {text!r}") from None
 
 
 def _require_int(name: str, value, minimum: int) -> int:

@@ -27,12 +27,12 @@ The nested engine steps from round to round, not slot by slot: a round's
 top pair forms 2^k - 1 steps after the last success of its links. A call
 takes many (k, p) points and draws each batch's streams once, in windows of
 whole rows of the widest point; a batch holds as many trajectories as keep
-all the points' links within _CARRIED_LINKS, and at least one. Every point
-turns its prefix of each window into next-success steps per link, and their
-maximum into a per-step round-end table: the step at which a round begun
-there has all its links. The rounds of a window are then a walk on a
-per-step successor table, one gather per round for the whole batch; a
-round carried in from an earlier window enters the walk at its first step.
+all the points' links within _CARRIED_LINKS, and at least one. Two points
+of a level at a time turn their prefix of each window into int16
+next-success steps per link, and their maximum into a round-end table per
+step: the step at which a round begun there has all its links. Their rounds
+are a walk on a per-step successor table, one gather per round for both
+points and the batch; a carried round enters the walk at its first step.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ RNG_ALGORITHM = "philox"  # the bit generator of every trajectory stream
 _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 1000 is one
 _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the chunk arrays (25
                       # bytes per draw in the walker: the float64 draw, its intp cell
-                      # and table offset, a bool flag; at most 18 in the nested engine,
+                      # and table offset, a bool flag; at most 22 in the nested engine,
                       # whose windows hold 2/3 as many draws: see simulate_nested)
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
 _CARRIED_LINKS = 2**20  # link flags a nested batch carries between windows, over all its
@@ -253,26 +253,27 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> np.ndarray:
     return counts.reshape(rows.shape[:-2] + (config.trajectories,))
 
 
-def _window_tables(rows: np.ndarray, p: float):
+def _window_tables(rows: np.ndarray, p):
     """Next-success and round-end tables of a window of uniform rows (batch, csize, leaves).
 
-    Both tables are step-major with the batch innermost, so that every
-    numpy pass runs along rows of leaves * batch or batch entries, however
-    few steps a window holds (see _suffix_min). The next-success table,
-    (csize, leaves, batch) int32: nxt[t, l, i] is the first step >= t of
-    the window, counted from its start, at which link l of trajectory i
-    succeeds, or csize if none does. The round-end table, (csize, batch)
-    int32, is its largest entry over the links: last[t, i] is the step at
-    which a round begun at t has all its links, or csize if it does not
-    finish in the window.
+    p is a scalar or a column of P link probabilities: the tables have one
+    column per (point, trajectory), p-major, w = P * batch, or batch for a
+    scalar p. Both are int16 and step-major, so every numpy pass runs along
+    rows of leaves * w or w entries, however few steps a window holds (see
+    _suffix_min). The next-success table, (csize, leaves, w): nxt[t, l, j] is
+    the first step >= t of the window, counted from its start, at which link
+    l of column j succeeds, or csize (below 2^15: see simulate_nested) if
+    none does. The round-end table, (csize, w), is its largest entry over
+    the links: last[t, j] is the step at which a round begun at t has all
+    its links, or csize if it does not finish in the window.
     """
     b, csize, leaves = rows.shape
-    nxt = np.empty((csize, leaves, b), dtype=np.int32)
-    np.less(rows.transpose(1, 2, 0), p, out=nxt)
+    nxt = np.empty((csize, leaves, np.size(p) * b), dtype=np.int16)
+    np.less(rows.transpose(1, 2, 0)[:, :, None], p, out=nxt.reshape(csize, leaves, -1, b))
     # t where link l succeeds at step t, else csize
-    nxt *= (np.arange(csize, dtype=np.int32) - np.int32(csize))[:, None, None]
-    nxt += np.int32(csize)
-    _suffix_min(nxt.reshape(csize, leaves * b))
+    nxt *= (np.arange(csize, dtype=np.int16) - np.int16(csize))[:, None, None]
+    nxt += np.int16(csize)
+    _suffix_min(nxt.reshape(csize, -1))
     return nxt, np.maximum.reduce(nxt, axis=1)
 
 
@@ -296,32 +297,32 @@ def _suffix_min(a: np.ndarray):
 
 
 class _Rounds:
-    """One nested point's round state over a batch: the k, p, and per trajectory
+    """The round state over a batch of b trajectories of nested points of one level
+    k: the k, the column of their p, and per (point, trajectory) column, p-major,
     the first step of its current round (of the last window it entered, if
     carried), the mask of that round's links not seen to succeed in earlier
-    windows, and its success count, in counts, the batch's slice of the
-    point's row of the call's counts."""
+    windows, one row per link, and its success count."""
 
-    def __init__(self, k: int, p: float, counts: np.ndarray):
-        self.k, self.p, self.counts = k, p, counts
-        self.start = np.zeros(len(counts), dtype=np.int64)
-        self.missing = np.ones((len(counts), 1 << k), dtype=bool)
+    def __init__(self, k: int, p: list, b: int):
+        self.k, self.p = k, np.array(p)[:, None]
+        self.start, self.counts = np.zeros((2, len(p) * b), dtype=np.int64)
+        self.missing = np.ones((1 << k, len(p) * b), dtype=bool)
 
     def advance(self, uniforms: np.ndarray, lo: int, steps: int):
         """Resolve every round that ends in the window of steps lo .. lo + csize.
 
         uniforms holds the window's draws, row i those of trajectory i; the
         window is its prefix of csize rows of 2^k draws each, cut at steps,
-        and the tables are built from it (see _window_tables). A round
-        begun at window step t has all its links at last[t], and its top pair
-        forms 2^k - 1 steps later, since every level adds the same delay on
-        every path; the next round begins at last[t] + 2^k. So the rounds of
-        a trajectory in the window are a walk on the successor table
+        and the tables of every p are built from it (see _window_tables). A
+        round begun at window step t has all its links at last[t], and its top
+        pair forms 2^k - 1 steps later, since every level adds the same delay
+        on every path; the next round begins at last[t] + 2^k. So the rounds of
+        a column in the window are a walk on the successor table
         t -> last[t] + 2^k, which stays put where that step is past the
         window. A round carried in from an earlier window enters the walk at
-        step 0: advance rewrites row 0 of both tables for its trajectory, where
-        the links seen to succeed before read 0. The round where a walk stops
-        is scored once, or left open.
+        step 0: advance rewrites row 0 of both tables in place, where the links
+        seen to succeed before read 0. The round where a walk stops is scored
+        once, or left open.
         """
         b = len(uniforms)
         csize = min(uniforms.shape[1] >> self.k, steps - lo)
@@ -330,25 +331,24 @@ class _Rounds:
         nxt, last = _window_tables(
             uniforms[:, :csize << self.k].reshape(b, csize, 1 << self.k), self.p)
         start, missing, counts = self.start, self.missing, self.counts
-        jump = 1 << self.k
-        carried = np.flatnonzero(start < lo)
-        links = nxt[0, :, carried] * missing[carried]
-        nxt[0, :, carried] = links
-        last[0, carried] = links.max(axis=1)
+        w, jump = len(start), 1 << self.k
+        carried = start < lo
+        np.multiply(nxt[0], missing, out=nxt[0], where=carried)
+        np.maximum.reduce(nxt[0], axis=0, out=last[0])
         start[carried] = lo
         live = np.flatnonzero(start < lo + csize)
         if not live.size:
             return
-        # flat successor table: entry t * b + i holds the entry of the round
-        # after the one trajectory i begins at t, or its own where that one
-        # begins past the window
-        succ = last + jump
+        # flat successor table: entry t * w + j holds the entry of the round
+        # after the one column j begins at t, or its own where that one begins
+        # past the window; int32, as t * w + j and last + 2^k overflow int16
+        succ = np.add(last, jump, dtype=np.int32)
         np.copyto(succ, np.arange(csize, dtype=np.int32)[:, None], where=succ >= csize)
-        succ *= np.int32(b)
-        succ += np.arange(b, dtype=np.int32)
+        succ *= np.int32(w)
+        succ += np.arange(w, dtype=np.int32)
         succ = succ.ravel()
         # four rounds per check: a step from where the walk stops stays there
-        path = [((start[live] - lo) * b + live).astype(np.int32)]
+        path = [((start[live] - lo) * w + live).astype(np.int32)]
         while True:
             for _ in range(4):
                 path.append(succ.take(path[-1]))
@@ -362,9 +362,9 @@ class _Rounds:
         still = ends >= csize
         top = ends + np.int64(lo + jump - 1)
         counts[live] += ~still & (top < steps)
-        start[live] = np.where(still, lo + (pos - live) // b, top + 1)
-        rows = live[still]
-        missing[rows] = nxt[start[rows] - lo, :, rows] >= csize
+        start[live] = np.where(still, lo + (pos - live) // w, top + 1)
+        cols = live[still]
+        missing[:, cols] = (nxt[start[cols] - lo, :, cols] >= csize).T
 
 
 def simulate_nested(points, config: SimConfig) -> np.ndarray:
@@ -387,10 +387,11 @@ def simulate_nested(points, config: SimConfig) -> np.ndarray:
     holds _CARRIED_LINKS / sum(2^k) trajectories, the sum over every point,
     at least one and at most _BATCH, so all the points share one pass over
     each batch's streams, window by window of whole rows of the widest
-    point, which each point turns into its own tables; a stack wider than
-    _CARRIED_LINKS links carries its own width, at most 4 MiB of link flags
-    for a 1024-point block at k = 12. Returns the int64 success counts of
-    every trajectory, one row per point: shape (len(points), trajectories).
+    point, which the points of a level turn into tables two at a time, in
+    call order; a stack wider than _CARRIED_LINKS links carries its own
+    width, at most 4 MiB of link flags for a 1024-point block at k = 12.
+    Returns the int64 success counts of every trajectory, one row per point:
+    shape (len(points), trajectories).
     """
     points = list(points)
     for k, p in points:
@@ -402,17 +403,25 @@ def simulate_nested(points, config: SimConfig) -> np.ndarray:
         return counts  # no links to size a batch by
     size = max(1, min(_BATCH, _CARRIED_LINKS // sum(1 << k for k, _ in points)))
     width = 1 << max(k for k, _ in points)
+    levels = {}
+    for i, (k, _) in enumerate(points):
+        levels.setdefault(k, []).append(i)
+    groups = [(k, ids[j:j + 2]) for k, ids in levels.items() for j in range(0, len(ids), 2)]
     for batch in _batches(config.trajectories, size):
-        rounds = [_Rounds(k, p, row[batch.start:batch.stop]) for (k, p), row in zip(points, counts)]
-        # a window draw costs its float64 uniform and the int32 next-success step
-        # one point at a time makes of it, whose suffix minimum runs in place; a
-        # step, 2^k >= 2 draws, costs its int32 round-end and successor entries,
-        # and a round, at least 2^k >= 2 steps, its int32 entry of the walk's
-        # path, held twice while the path is stacked: at most 18 bytes a draw
-        # (plus the few walk steps that check the walk has stopped), 12 a draw
-        # of _CHUNK_DRAWS
-        window = max(1, 2 * _CHUNK_DRAWS // (3 * len(batch) * width)) * width
+        rounds = [_Rounds(k, [points[i][1] for i in g], len(batch)) for k, g in groups]
+        # a window draw costs its float64 uniform and the pair of int16
+        # next-success steps two points make of it, whose suffix minimum runs
+        # in place; a step, 2^k >= 2 draws, costs the pair's int16 round-end
+        # and int32 successor entries, and a round, at least 2^k steps, each
+        # point's int32 entry of the walk's path, held twice while the path is
+        # stacked: at most 22 bytes a draw (plus the few walk steps that check
+        # the walk has stopped), 15 a draw of _CHUNK_DRAWS. A trajectory draws
+        # at most 2^16 - 2 a window, so no point's window holds 2^15 steps
+        window = max(1, min(2 * _CHUNK_DRAWS // (3 * len(batch) * width),
+                            (2**16 - 2) // width)) * width
         for lo, uniforms in _stream_windows(config, batch, steps * width, window):
             for r in rounds:
                 r.advance(uniforms, lo >> r.k, steps)  # windows are whole rows of every point
+        for (_, g), r in zip(groups, rounds):
+            counts[g, batch.start:batch.stop] = r.counts.reshape(len(g), -1)
     return counts

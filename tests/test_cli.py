@@ -178,6 +178,32 @@ class TestAnalyze:
         assert code == 0
         assert dest.stat().st_mode & 0o777 == mode
 
+    def test_output_keeps_an_existing_file_mode(self, capsys, tmp_path):
+        # as a plain write would: a 0640 file stays 0640 under umask 022
+        dest = tmp_path / "report.json"
+        dest.write_text("old")
+        dest.chmod(0o640)
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(capsys, "analyze", "--protocol", "shs", "--pl", "0.5",
+                                 "--pr", "0.5", "--ps", "1", "--output", str(dest))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert dest.stat().st_mode & 0o777 == 0o640
+        assert json.loads(dest.read_text())["protocol"] == "shs"
+
+    def test_output_through_a_symlink_rewrites_its_target(self, capsys, tmp_path):
+        target, link = tmp_path / "report.json", tmp_path / "link.json"
+        target.write_text("old")
+        link.symlink_to(target.name)
+        code, _, _ = run_cli(capsys, "analyze", "--protocol", "shs", "--pl", "0.5",
+                             "--pr", "0.5", "--ps", "1", "--output", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert json.loads(target.read_text())["protocol"] == "shs"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
+
     def test_params_json_input(self, capsys, tmp_path):
         src = tmp_path / "params.json"
         src.write_text(protocols.params_to_json(
@@ -265,6 +291,7 @@ class TestAnalyze:
             error = json.loads(line)["error"]
             assert (error["category"], error["type"]) == ("validation", "CliValidationError")
             assert error["message"].startswith(message), argv
+            assert "_comma_floats" not in error["message"], argv
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -300,21 +300,26 @@ class TestNestedEngine:
             simulator._suffix_min(a)
             np.testing.assert_array_equal(a, expect, err_msg=f"{n} rows")
 
-    @pytest.mark.parametrize("p", [1.0, 0.3, 1e-300])  # 1e-300: no round finishes
+    # 1e-300: no round finishes; a column of p gives one block of columns per p
+    @pytest.mark.parametrize("p", [1.0, 0.3, 1e-300,
+                                   pytest.param((0.3, 1.0, 1e-300), id="column")])
     @pytest.mark.parametrize("k", [1, 4])
     def test_window_tables_match_scan(self, k, p):
         # per link, the first success at or after each step, and per step the
         # last of those: csize where a link or a round does not finish
         b, csize, leaves = 3, 23, 1 << k
         rows = np.random.default_rng(k).random((b, csize, leaves))
-        nxt, last = simulator._window_tables(rows, p)
-        for i, t in itertools.product(range(b), range(csize)):
-            ends = [next((s for s in range(t, csize) if rows[i, s, link] < p), csize)
+        ps = np.atleast_1d(p)
+        nxt, last = simulator._window_tables(rows, ps[:, None] if np.ndim(p) else p)
+        assert nxt.dtype == last.dtype == np.int16
+        assert nxt.shape == (csize, leaves, len(ps) * b) and last.shape == (csize, len(ps) * b)
+        for (j, pj), i, t in itertools.product(enumerate(ps), range(b), range(csize)):
+            ends = [next((s for s in range(t, csize) if rows[i, s, link] < pj), csize)
                     for link in range(leaves)]
-            assert nxt[t, :, i].tolist() == ends
-            assert last[t, i] == max(ends)
-        if p < 1e-100:
-            assert (last == csize).all()
+            assert nxt[t, :, j * b + i].tolist() == ends
+            assert last[t, j * b + i] == max(ends)
+        for j in np.flatnonzero(ps < 1e-100):
+            assert (last[:, j * b:(j + 1) * b] == csize).all()
 
     @pytest.mark.parametrize("k,cycle", [(1, 2), (2, 4), (3, 8)])
     def test_perfect_links_period(self, k, cycle):
@@ -369,6 +374,25 @@ class TestNestedEngine:
         np.testing.assert_array_equal(
             stacked, [simulate_nested([point], cfg)[0] for point in self.STACK])
 
+    def test_window_cap_of_a_lone_trajectory(self):
+        # one trajectory at k = 1 would take 87381 steps a window; the cap of
+        # 2^16 - 2 draws, 2^15 - 1 steps, keeps every step index in int16, and
+        # 2^15 + 5 steps cross it; the pair shares one table
+        cfg = SimConfig(seed=17, steps_per_trajectory=2**15 + 5, trajectories=1)
+        expect = [nested_counts_stepwise(1, p, cfg) for p in (0.3, 0.02)]
+        assert [tuple(row) for row in simulate_nested([(1, 0.3), (1, 0.02)], cfg).tolist()] \
+            == expect
+
+    @pytest.mark.parametrize("chunk_draws", [2**10, 97])
+    def test_odd_level_group_equals_points_run_alone(self, chunk_draws, monkeypatch):
+        # three points of level 2 make a pair and a lone point, around a point
+        # of level 3; small windows make rounds straddle them
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", chunk_draws)
+        stack = [(2, 0.3), (3, 0.5), (2, 0.9), (2, 0.05)]
+        cfg = SimConfig(seed=23, steps_per_trajectory=120, trajectories=40)
+        np.testing.assert_array_equal(simulate_nested(stack, cfg),
+                                      [simulate_nested([point], cfg)[0] for point in stack])
+
     @pytest.mark.parametrize("budget", [32 * 1024, 8 * 1024])
     def test_batch_sized_from_the_whole_stack(self, budget, monkeypatch):
         # the 100 links of STACK cap a batch at budget // 100 trajectories
@@ -414,6 +438,20 @@ class TestNestedEngine:
             tracemalloc.stop()
         assert res.tolist() == [0] * 1000  # a round takes at least 2^12 steps
         assert peak <= 64 * 2**20
+
+    def test_memory_stays_bounded_on_the_figure_stack(self):
+        # 9 points a level at k = 2..4, as in the nested figure: tables of two
+        # points at a time, where one table a whole level would peak near 8 MiB
+        cfg = SimConfig(seed=3, steps_per_trajectory=2000, trajectories=100)
+        points = [(k, p) for k in (2, 3, 4) for p in np.linspace(0.1, 0.9, 9)]
+        tracemalloc.start()
+        try:
+            res = simulate_nested(points, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.shape == (27, 100)
+        assert peak <= 6 * 2**20
 
     def test_level_one_matches_chain_walker(self):
         # same process, two implementations: the walker samples the 5-state
