@@ -13,7 +13,9 @@ abort with exit 3 instead of being written. File outputs are written to a
 temporary file and renamed into place, so a failed run never leaves a
 partial file behind. They get what a plain write would give: an existing
 file keeps its mode, a new one follows the umask, and a symlinked path
-rewrites the file the link points to.
+rewrites the file the link points to. The one exception is a file with
+more than one hard link: it is rewritten in place, not atomically, so that
+every link reads the new contents.
 
 Units: a chain step lasts tau time units (default 1.0). Sweep columns:
 equilibrium, nested_type1, nested_type2 and simulated_mean are successes per
@@ -109,14 +111,25 @@ def _assert_finite_tree(obj, path="report"):
 def _atomic_write(path: str, text: str):
     # through any symlink, so that the link stays and its target is rewritten
     target = os.path.realpath(path)
+    try:
+        existing = os.stat(target)
+    except FileNotFoundError:
+        existing = None
+    if existing is not None and existing.st_nlink > 1:
+        # a rename would give this name a new inode and leave the other hard
+        # links reading the old contents, so the file is rewritten in place,
+        # as a plain write would, keeping its inode and mode
+        with open(target, "w", newline="") as handle:
+            handle.write(text)
+        return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".rlab-", suffix=".part")
     try:
         # mkstemp makes the file owner-only; give it the mode a plain write
         # would: an existing file's own, else 0o666 under the process umask
         # (read by setting it and back)
-        try:
-            mode = stat.S_IMODE(os.stat(target).st_mode)
-        except FileNotFoundError:
+        if existing is not None:
+            mode = stat.S_IMODE(existing.st_mode)
+        else:
             umask = os.umask(0o077)
             os.umask(umask)
             mode = 0o666 & ~umask

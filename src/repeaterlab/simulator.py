@@ -19,9 +19,10 @@ one entry per trajectory.
 
 The chain walker buckets each chunk of draws against the merged breakpoints
 of all cumulative rows of a point; a bucket fixes the next state from every
-state, so a step is one gather from a successor table. The grid cells of a
-chunk's draws are taken once, and each point of a stacked chain turns them
-into its own table offsets and walks them.
+state, so a step is one gather from a successor table. A chunk is walked in
+blocks of a quarter of its steps: the grid cells of a block's draws are taken
+once, and each point of a stacked chain turns them into its own table offsets
+and walks them, so only the float64 draws take memory in proportion to a chunk.
 
 The nested engine steps from round to round, not slot by slot: a round's
 top pair forms 2^k - 1 steps after the last success of its links. A call
@@ -47,10 +48,11 @@ from .protocols import ProtocolChain
 
 RNG_ALGORITHM = "philox"  # the bit generator of every trajectory stream
 _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 1000 is one
-_CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the chunk arrays (25
-                      # bytes per draw in the walker: the float64 draw, its intp cell
-                      # and table offset, a bool flag; at most 22 in the nested engine,
-                      # whose windows hold 2/3 as many draws: see simulate_nested)
+_CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the chunk arrays (in
+                      # the walker, 8 bytes a draw, the float64 draw, and a block of a
+                      # quarter chunk at 17 bytes a draw: its intp cell and table offset,
+                      # a bool flag; at most 22 in the nested engine, whose windows
+                      # hold 2/3 as many draws: see simulate_nested)
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
 _CARRIED_LINKS = 2**20  # link flags a nested batch carries between windows, over all its
                         # points: 2^20 / sum(2^k) trajectories a batch, at least one
@@ -208,8 +210,9 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> np.ndarray:
     Sampling inverts each row's cumulative distribution against one
     uniform draw per step, through the bucket of the draw (see
     _walk_tables). Every point reads the same trajectory streams, as it
-    would alone, so a batch builds its generators once and draws and
-    buckets each chunk once; then the points walk the chunk one by one.
+    would alone, so a batch builds its generators once and draws each chunk
+    once. The chunk is walked a block of a quarter of its steps at a time:
+    each block is bucketed once, then the points walk it one by one.
     """
     n = chain.n
     rows = chain.matrix.rows
@@ -222,34 +225,36 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> np.ndarray:
     for batch in _batches(config.trajectories):
         b = len(batch)
         chunk = max(1, _CHUNK_DRAWS // b)
-        # one set of chunk buffers per batch, reused by every chunk and point:
-        # fresh multi-megabyte arrays cost the walker a page fault per page
-        # each time the allocator hands them back to the system
-        size = min(chunk, steps) * b
-        (cell_buf, offset_buf), flag_buf = np.empty((2, size), np.intp), np.empty(size, bool)
+        block = max(1, chunk // 4)
+        # one block of cells, table offsets and flags per batch, reused by every
+        # block and point: fresh multi-megabyte arrays cost the walker a page
+        # fault per page each time the allocator hands them back to the system
+        cell_buf, offset_buf = np.empty((2, min(block, steps) * b), np.intp)
+        flag_buf = np.empty(min(block, steps) * b, bool)
         states = np.full((len(tables), b), chain.start_state, dtype=np.intp)
-        for _, uniforms in _stream_windows(config, batch, steps, chunk):
-            csize = uniforms.shape[1]
-            # cells, table offsets and flags in (step, trajectory) layout, so
-            # that each step reads one contiguous row
-            cells, offsets, flags = (buf[:csize * b].reshape(csize, b)
-                                     for buf in (cell_buf, offset_buf, flag_buf))
-            np.multiply(uniforms.T, _CELLS, out=cells, casting="unsafe")  # floor(u * _CELLS)
-            for i, (edges, successor, hits, cell_offset) in enumerate(tables):
-                # every index is in range (a cell is below _CELLS, an offset
-                # below len(successor)), so mode="clip" clips nothing; it only
-                # spares take the temporary copy it makes for out= otherwise
-                cell_offset.astype(np.intp).take(cells, out=offsets, mode="clip")
-                split = np.flatnonzero(np.less(offsets, 0, out=flags))
-                offsets.flat[split] = np.searchsorted(edges, uniforms.T.flat[split],
-                                                      side="right") * n
-                state = states[i]
-                for index in offsets:
-                    index += state
-                    state = successor.take(index)
-                states[i] = state
-                counts[i, batch.start:batch.stop] += np.count_nonzero(
-                    hits.take(offsets, out=flags, mode="clip"), axis=0)
+        for _, window in _stream_windows(config, batch, steps, chunk):
+            for lo in range(0, window.shape[1], block):
+                # a block's draws, cells, offsets and flags in (step, trajectory)
+                # layout, so that each step reads one contiguous row
+                draws = window.T[lo:lo + block]
+                cells, offsets, flags = (buf[:draws.size].reshape(draws.shape)
+                                         for buf in (cell_buf, offset_buf, flag_buf))
+                np.multiply(draws, _CELLS, out=cells, casting="unsafe")  # floor(u * _CELLS)
+                for i, (edges, successor, hits, cell_offset) in enumerate(tables):
+                    # every index is in range (a cell is below _CELLS, an offset
+                    # below len(successor)), so mode="clip" clips nothing; it
+                    # only spares take the temporary copy it makes for out=
+                    cell_offset.astype(np.intp).take(cells, out=offsets, mode="clip")
+                    split = np.flatnonzero(np.less(offsets, 0, out=flags))
+                    offsets.flat[split] = np.searchsorted(edges, draws.flat[split],
+                                                          side="right") * n
+                    state = states[i]
+                    for index in offsets:
+                        index += state
+                        state = successor.take(index)
+                    states[i] = state
+                    counts[i, batch.start:batch.stop] += np.count_nonzero(
+                        hits.take(offsets, out=flags, mode="clip"), axis=0)
     return counts.reshape(rows.shape[:-2] + (config.trajectories,))
 
 

@@ -204,6 +204,23 @@ class TestAnalyze:
         assert json.loads(target.read_text())["protocol"] == "shs"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "report.json"]
 
+    def test_output_through_a_hard_link_updates_every_name(self, capsys, tmp_path):
+        # as a plain write would: the file keeps its inode and mode, so the
+        # other name reads the new contents too
+        dest, other = tmp_path / "a.json", tmp_path / "b.json"
+        dest.write_text("old")
+        dest.chmod(0o640)
+        os.link(dest, other)
+        inode = dest.stat().st_ino
+        code, _, _ = run_cli(capsys, "analyze", "--protocol", "shs", "--pl", "0.5",
+                             "--pr", "0.5", "--ps", "1", "--output", str(dest))
+        assert code == 0
+        assert dest.stat().st_ino == inode and dest.stat().st_nlink == 2
+        assert dest.stat().st_mode & 0o777 == 0o640
+        for path in (dest, other):
+            assert json.loads(path.read_text())["protocol"] == "shs"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
     def test_params_json_input(self, capsys, tmp_path):
         src = tmp_path / "params.json"
         src.write_text(protocols.params_to_json(

@@ -218,6 +218,13 @@ class TestChainWalker:
         cfg = SimConfig(seed=0, steps_per_trajectory=600, trajectories=5)
         assert tuple(simulate_chain(chain, cfg).tolist()) == reference_counts(chain, draws)
 
+    @pytest.mark.parametrize("kind", sorted(REFERENCE_ROWS))
+    def test_draws_on_and_beside_block_edges(self, kind, monkeypatch):
+        # 60 draws a chunk give the 5 trajectories 12-step chunks, walked in
+        # 3-step blocks, so breakpoint draws land on the edges of blocks
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 60)
+        self.test_draws_on_and_beside_breakpoints(kind, monkeypatch)
+
     def test_trajectory_prefix_stability(self):
         # adding trajectories must not disturb earlier ones: streams are
         # keyed by trajectory index alone
@@ -241,12 +248,15 @@ class TestChainWalker:
              (0.5, 0.6, 0.7, 0.4, 0.9), (0.8, 0.3, 0.6, 0.6, 0.0), (1 / 4096, 0.5, 0.75, 1.0, 0.25)]
 
     @pytest.mark.parametrize("rng", list(BIT_GENERATORS))
-    def test_stacked_chain_equals_points_walked_alone(self, rng, monkeypatch):
+    @pytest.mark.parametrize("chunk_draws", [2**16, 1000])
+    def test_stacked_chain_equals_points_walked_alone(self, chunk_draws, rng, monkeypatch):
         # one walk of the stacked chain reads each point's streams as its own
-        # walk does: 1100 trajectories span two batches, and 2^16 draws a
-        # chunk split each batch's 150 steps into three chunks
+        # walk does: 1100 trajectories span two batches of 1024 and 76. At
+        # 2^16 draws a chunk, the first batch walks 64-step chunks in 16-step
+        # blocks and the second one chunk in one block; at 1000, one-step
+        # chunks and blocks, and 13-step chunks in 3-step blocks
         use_streams(monkeypatch, rng)
-        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", 2**16)
+        monkeypatch.setattr(simulator, "_CHUNK_DRAWS", chunk_draws)
         cfg = SimConfig(seed=29, steps_per_trajectory=150, trajectories=1100)
         stacked = simulate_chain(protocols.two_link_chain(np.reshape(self.STACK, (2, 3, 5))), cfg)
         assert stacked.dtype == np.int64 and stacked.shape == (2, 3, 1100)
@@ -266,6 +276,22 @@ class TestChainWalker:
             tracemalloc.stop()
         assert res.shape == (1024, 1000)
         assert peak <= 48 * 2**20
+
+    def test_memory_at_the_cli_default(self):
+        # one point at 1000 trajectories x 1000 steps: besides the float64
+        # draws, only a quarter-chunk block of cells, offsets and flags
+        # (4.0 MiB measured; 7.2 MiB with chunk-sized cells, offsets and flags)
+        chain = protocols.two_link_chain(np.array([0.55, 0.6, 0.7, 0.4, 0.9]))
+        cfg = SimConfig(seed=3, steps_per_trajectory=1000, trajectories=1000)
+        simulate_chain(chain, cfg)  # warm up: first-use imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            res = simulate_chain(chain, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.shape == (1000,)
+        assert peak <= 6 * 2**20
 
 
 class TestNestedEngine:
