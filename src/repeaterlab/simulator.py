@@ -49,9 +49,9 @@ from .protocols import ProtocolChain
 RNG_ALGORITHM = "philox"  # the bit generator of every trajectory stream
 _BATCH = 1024         # trajectories per lock-step batch; the CLI default of 1000 is one
 _CHUNK_DRAWS = 2**18  # uniforms drawn per batch at a time; bounds the chunk arrays (in
-                      # the walker, 8 bytes a draw, the float64 draw, and a block of a
-                      # quarter chunk at 17 bytes a draw: its intp cell and table offset,
-                      # a bool flag; at most 22 in the nested engine, whose windows
+                      # the walker, the float64 draws at 8 bytes each, plus a block of a
+                      # quarter chunk at 17 bytes a draw: intp cells and table offsets,
+                      # bool flags; at most 22 in the nested engine, whose windows
                       # hold 2/3 as many draws: see simulate_nested)
 _CELLS = 4096         # power-of-two grid on [0, 1) that buckets most draws by one lookup
 _CARRIED_LINKS = 2**20  # link flags a nested batch carries between windows, over all its
@@ -227,7 +227,7 @@ def simulate_chain(chain: ProtocolChain, config: SimConfig) -> np.ndarray:
         chunk = max(1, _CHUNK_DRAWS // b)
         block = max(1, chunk // 4)
         # one block of cells, table offsets and flags per batch, reused by every
-        # block and point: fresh multi-megabyte arrays cost the walker a page
+        # block and point: fresh megabyte-sized arrays cost the walker a page
         # fault per page each time the allocator hands them back to the system
         cell_buf, offset_buf = np.empty((2, min(block, steps) * b), np.intp)
         flag_buf = np.empty(min(block, steps) * b, bool)
