@@ -13,9 +13,11 @@ abort with exit 3 instead of being written. File outputs are written to a
 temporary file and renamed into place, so a failed run never leaves a
 partial file behind. They get what a plain write would give: an existing
 file keeps its mode, a new one follows the umask, and a symlinked path
-rewrites the file the link points to. The one exception is a file with
-more than one hard link: it is rewritten in place, not atomically, so that
-every link reads the new contents.
+rewrites the file the link points to. The rename is kept for a path that
+does not exist yet and for a regular file with one link whose owner and
+group a new file would get. Any other existing target (a FIFO, a device, a
+file with more hard links, another owner's file) is rewritten in place, not
+atomically, so that it stays what it was.
 
 Units: a chain step lasts tau time units (default 1.0). Sweep columns:
 equilibrium, nested_type1, nested_type2 and simulated_mean are successes per
@@ -29,7 +31,7 @@ A sweep is columnar from spec to CSV. _SweepPlan builds the grid once, as a
 column per protocol slot (aliases and fixed values resolved once), in the
 slot order that protocols names through the params' slot_names. It checks
 every column at once; if a point fails, the first failing point is rebuilt
-through its own check (the params constructor, or _nested_point), so the
+through its own check (its params' from_row, or _nested_point), so the
 error is the one that point raises alone. Each block of points then passes
 its rows to its family's builder in protocols.FAMILIES as one stack, with no
 params object per point; every chain metric, exact_var included, is one
@@ -43,6 +45,11 @@ block the same way, from their params' .row, and take their statistics from
 _rate_stats. analyze builds its chain through build_chain and its closed-form
 deltas from its family's pair in FAMILIES (null where there is none). The
 argparse parser is built on the first main call and reused by later calls.
+
+Each rule has one owner, which this module reads rather than restates: the
+flags a family takes are its params fields in protocols.FAMILIES, through
+_FIELD_FLAGS; the run defaults and least values are _RUN_SETTINGS, for the
+flags and the sweep alike; the nested range is estimators.nested_ok.
 """
 from __future__ import annotations
 
@@ -66,17 +73,26 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# sweep run settings -> the outputs that read them; a spec may set one only
-# when it asks for such an output
-_RUN_SETTINGS = {"horizon": ("naive_var", "exact_var"), "steps": ("simulated_mean",),
-                 "trajectories": ("simulated_mean",), "seed": ("simulated_mean",)}
+# run settings: the sweep outputs that read each, its default and its least
+# value. A sweep spec may set one in fixed_params only when it asks for an
+# output that reads it; the --horizon, --steps and --trajectories flags take
+# their defaults from here (--seed has none: it is drawn)
+_Setting = NamedTuple("_Setting", [("readers", tuple), ("default", int), ("least", int)])
+_RUN_SETTINGS = {"horizon": _Setting(("naive_var", "exact_var"), 100_000, 1),
+                 "seed": _Setting(("simulated_mean",), 0, 0),
+                 "steps": _Setting(("simulated_mean",), 100_000, 1),
+                 "trajectories": _Setting(("simulated_mean",), 1_000, 1)}
 
 # sweep parameter names that configure the run rather than the protocol;
 # they may only appear in fixed_params
 _RESERVED_FIXED = ("tau", "n", *_RUN_SETTINGS)
 
+# params field (see protocols.FAMILIES) -> the flag that sets it
+_FIELD_FLAGS = {"round_probs": "--probs", "left_probs": "--pl", "right_probs": "--pr",
+                "swap_prob": "--ps"}
+
 # flags that describe a protocol chain, in the order errors list them
-_CHAIN_FLAGS = ("--protocol", "--probs", "--pl", "--pr", "--ps", "--tau", "--params-json")
+_CHAIN_FLAGS = ("--protocol", *_FIELD_FLAGS.values(), "--tau", "--params-json")
 
 
 class CliValidationError(ValueError):
@@ -115,13 +131,18 @@ def _atomic_write(path: str, text: str):
         existing = os.stat(target)
     except FileNotFoundError:
         existing = None
-    if existing is not None and existing.st_nlink > 1:
-        # a rename would give this name a new inode and leave the other hard
-        # links reading the old contents, so the file is rewritten in place,
-        # as a plain write would, keeping its inode and mode
-        with open(target, "w", newline="") as handle:
-            handle.write(text)
-        return
+    if existing is not None:
+        parent = os.stat(os.path.dirname(target))
+        group = parent.st_gid if parent.st_mode & stat.S_ISGID else os.getegid()
+        if not (stat.S_ISREG(existing.st_mode) and existing.st_nlink == 1
+                and (existing.st_uid, existing.st_gid) == (os.geteuid(), group)):
+            # a rename would turn a FIFO or a device into a regular file, leave
+            # the other hard links reading the old contents, or hand another
+            # owner's file to this one, so the target is rewritten in place, as
+            # a plain write would, keeping its inode, mode and owner
+            with open(target, "w", newline="") as handle:
+                handle.write(text)
+            return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".rlab-", suffix=".part")
     try:
         # mkstemp makes the file owner-only; give it the mode a plain write
@@ -188,23 +209,19 @@ def _params_from_args(args):
     if args.protocol is None:
         raise CliValidationError("either --protocol or --params-json is required")
     tau = 1.0 if args.tau is None else args.tau
-    if args.protocol == "multiherald":
-        if args.probs is None:
-            raise CliValidationError("--probs is required for --protocol multiherald")
-        if args.pl is not None or args.pr is not None or args.ps is not None:
-            raise CliValidationError("--pl/--pr/--ps do not apply to multiherald")
-        params = protocols.MultiHeraldParams(args.probs)
-    else:
-        if args.probs is not None:
-            raise CliValidationError(f"--probs does not apply to {args.protocol}")
-        if args.pl is None or args.pr is None or args.ps is None:
-            raise CliValidationError(f"--pl, --pr and --ps are required for {args.protocol}")
-        params = protocols.TwoLinkParams(args.pl, args.pr, args.ps)
-        got = protocols.protocol_name(params)
-        if got != args.protocol:
-            raise CliValidationError(
-                f"--pl/--pr carry {len(args.pl)} heralding round(s), which is "
-                f"protocol {got!r}, not {args.protocol!r}")
+    family = protocols.FAMILIES[args.protocol].params
+    wanted = [_FIELD_FLAGS[field.name] for field in dataclasses.fields(family)]
+    given = _given(args, _FIELD_FLAGS.values())
+    if given != wanted:
+        raise CliValidationError(f"--protocol {args.protocol} takes {', '.join(wanted)}; "
+                                 f"given {', '.join(given) or 'none'}")
+    params = family(*(getattr(args, flag[2:]) for flag in wanted))
+    got = protocols.protocol_name(params)
+    if got != args.protocol:
+        # only a two-link family's round count can name another family
+        raise CliValidationError(
+            f"--pl/--pr carry {len(args.pl)} heralding round(s), which is "
+            f"protocol {got!r}, not {args.protocol!r}")
     return params, tau
 
 
@@ -263,8 +280,8 @@ class _Block:
     """Targets of one protocol and one tau, evaluated together.
 
     A chain block holds one row of slot values per target, an array of
-    shape (targets, slots) with the slots in the protocol's order (see
-    _PROTOCOLS); its stacked chain and the chain's latency (mean, variance)
+    shape (targets, slots) with the slots in the order of its params' .row
+    (see protocols); its stacked chain and the chain's latency (mean, variance)
     are built once each, on first use. A nested block holds (k, p) pairs.
     """
 
@@ -364,10 +381,8 @@ def _multiherald_aliases(prob_names, fixed):
     return {slot: (slot,) for slot in slots}, slots
 
 
-def _nested_point(row, tau) -> None:
-    """Check one nested grid point, row = (k, p), and fixed_params' tau (None if unset)."""
-    if tau is not None:
-        raise CliValidationError("fixed_params 'tau' does not apply to protocol 'nested'")
+def _nested_point(row) -> None:
+    """Check one nested grid point, row = (k, p)."""
     k, p = row
     if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
         raise CliValidationError(f"nesting level k must be an integer, got {k!r}")
@@ -375,13 +390,17 @@ def _nested_point(row, tau) -> None:
 
 
 def _nested_bad(rows: np.ndarray, tau) -> np.ndarray:
-    """The grid points _nested_point rejects, as a mask."""
-    k, p = rows[:, 0], rows[:, 1]
+    """The grid points _nested_point rejects, as a mask; fixed_params' tau (None
+    if unset) is rejected outright."""
+    if tau is not None:
+        raise CliValidationError("fixed_params 'tau' does not apply to protocol 'nested'")
+    k = rows[:, 0]
+    # a NaN, infinite or huge k casts to some level outside the range, or is not integral
     with np.errstate(invalid="ignore"):
         level = np.rint(k)
         integral = np.isfinite(k) & (np.abs(k - level) <= 1e-9)
-    in_range = (1 <= level) & (level <= estimators.MAX_NESTED_K) & (0.0 < p) & (p <= 1.0)
-    return np.full(len(rows), tau is not None) | ~(integral & in_range)
+        k_ok, p_ok = estimators.nested_ok(level.astype(np.int64), rows[:, 1])
+    return ~(integral & k_ok & p_ok)
 
 
 def _probability_bad(rows: np.ndarray, tau) -> np.ndarray:
@@ -398,26 +417,24 @@ class _Protocol(NamedTuple):
     # the slot names in the order of the params' .row (see protocols), which
     # is the column order of rows; None where aliases is a function
     slots: tuple | None
-    # (rows, fixed_params' tau or None) -> mask of the points that point() rejects
+    # (rows, fixed_params' tau or None) -> mask of the points that point()
+    # rejects; raises where a tau does not apply at all
     bad: Callable
-    # (one row as floats, tau) -> that point's own check: the params constructor
-    point: Callable
+    # one row as floats -> that point's own check; None for a chain family,
+    # whose check is its params' from_row in protocols.FAMILIES
+    point: Callable | None = None
 
 
 _PROTOCOLS = {
-    "multiherald": _Protocol(
-        _multiherald_aliases, None, _probability_bad,
-        lambda row, tau: protocols.MultiHeraldParams(tuple(row))),
+    "multiherald": _Protocol(_multiherald_aliases, None, _probability_bad),
     "shs": _Protocol(
         {"pl": ("pl",), "pr": ("pr",), "ps": ("ps",), "p": ("pl", "pr")},
-        protocols.TwoLinkParams.slot_names(1), _probability_bad,
-        lambda row, tau: protocols.TwoLinkParams.from_row(row)),
+        protocols.TwoLinkParams.slot_names(1), _probability_bad),
     "dhs": _Protocol(
         {"pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",), "ps": ("ps",),
          "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"), "pl": ("pl1", "pl2"),
          "pr": ("pr1", "pr2"), "p": ("pl1", "pl2", "pr1", "pr2")},
-        protocols.TwoLinkParams.slot_names(2), _probability_bad,
-        lambda row, tau: protocols.TwoLinkParams.from_row(row)),
+        protocols.TwoLinkParams.slot_names(2), _probability_bad),
     "nested": _Protocol({"k": ("k",), "p": ("p",)}, ("k", "p"), _nested_bad, _nested_point),
 }
 
@@ -509,22 +526,18 @@ class _SweepPlan:
         if uncovered:
             raise CliValidationError(f"parameters not set: {sorted(uncovered)}")
 
-        for setting, readers in _RUN_SETTINGS.items():
+        run = {}
+        for setting, (readers, default, least) in _RUN_SETTINGS.items():
             if setting in fixed and not set(readers) & set(self.outputs):
                 raise CliValidationError(
                     f"fixed_params {setting!r} is read only by outputs {list(readers)}")
-        self.horizon = _require_int("fixed_params.horizon", fixed.get("horizon", 100_000), 1)
+            run[setting] = _require_int(f"fixed_params.{setting}",
+                                        fixed.get(setting, default), least)
+        self.horizon = run["horizon"]
         if "naive_var" in self.outputs or "exact_var" in self.outputs:
             estimators.check_horizon(self.horizon)
-        self.sim_config = None
-        if "simulated_mean" in self.outputs:
-            self.sim_config = simulator.SimConfig(
-                seed=_require_int("fixed_params.seed", fixed.get("seed", 0), 0),
-                steps_per_trajectory=_require_int(
-                    "fixed_params.steps", fixed.get("steps", 100_000), 1),
-                trajectories=_require_int(
-                    "fixed_params.trajectories", fixed.get("trajectories", 1_000), 1),
-            )
+        self.sim_config = simulator.SimConfig(seed=run["seed"], steps_per_trajectory=run["steps"],
+                                              trajectories=run["trajectories"])
 
         tau = protocols._real("fixed_params.tau", fixed["tau"]) if "tau" in fixed else None
         sizes = [count for _, (_, _, count) in axes]
@@ -552,7 +565,8 @@ class _SweepPlan:
         # first bad point raises its own error through the per-point check
         bad = np.flatnonzero(protocol.bad(rows, tau))
         if bad.size:
-            protocol.point(rows[bad[0]].tolist(), tau)
+            point = protocol.point or protocols.FAMILIES[self.protocol].params.from_row
+            point(rows[bad[0]].tolist())
             raise AssertionError(f"grid point {bad[0]} failed no per-point check")
         self.tau = 1.0 if tau is None else tau
         self.rows = rows if self.protocol in protocols.FAMILIES else list(zip(
@@ -587,10 +601,8 @@ def cmd_sweep(args) -> int:
 # -------------------------------------------------------- simulate/compare
 
 def _sim_target(args):
-    """The one-target block a simulate/compare command line names, and its params.
-
-    The params are None for the nested protocol.
-    """
+    """The one-target block a simulate/compare command line names, and the
+    target entry of simulate's summary."""
     if args.nested:
         chain_flags = _given(args, _CHAIN_FLAGS)
         if chain_flags:
@@ -598,30 +610,25 @@ def _sim_target(args):
                 f"--nested conflicts with protocol chain flags {', '.join(chain_flags)}")
         if args.k is None or args.p is None:
             raise CliValidationError("--nested requires --k and --p")
-        return _Block("nested", [(args.k, args.p)]), None
+        return _Block("nested", [(args.k, args.p)]), {"kind": "nested", "k": args.k, "p": args.p}
     nested_flags = _given(args, ("--k", "--p"))
     if nested_flags:
         raise CliValidationError(f"{', '.join(nested_flags)} require --nested")
     params, tau = _params_from_args(args)
-    return _Block(protocols.protocol_name(params), np.array([params.row]), tau), params
+    name = protocols.protocol_name(params)
+    return _Block(name, np.array([params.row]), tau), {
+        "kind": "chain", "protocol": name,
+        "params": json.loads(protocols.params_to_json(params, tau))}
 
 
 def _sim_config_from_args(args) -> simulator.SimConfig:
-    seed = args.seed
-    if seed is None:
-        seed = int.from_bytes(os.urandom(8), "little")
+    seed = int.from_bytes(os.urandom(8), "little") if args.seed is None else args.seed
     return simulator.SimConfig(seed=seed, steps_per_trajectory=args.steps,
                                trajectories=args.trajectories)
 
 
 def cmd_simulate(args) -> int:
-    block, params = _sim_target(args)
-    if params is None:
-        k, p = block.rows[0]
-        target = {"kind": "nested", "k": k, "p": p}
-    else:
-        target = {"kind": "chain", "protocol": block.protocol,
-                  "params": json.loads(protocols.params_to_json(params, block.tau))}
+    block, target = _sim_target(args)
     config = _sim_config_from_args(args)
     t0 = time.perf_counter()
     counts, = block.simulate(config)
@@ -698,10 +705,11 @@ def _add_sim_flags(parser: argparse.ArgumentParser):
     group.add_argument("--k", type=int, help="nesting level (with --nested)")
     group.add_argument("--p", type=float,
                        help="elementary link success probability (with --nested)")
-    group.add_argument("--steps", type=int, default=100_000,
-                       help="steps per trajectory (default 100000)")
-    group.add_argument("--trajectories", type=int, default=1_000,
-                       help="independent trajectories (default 1000)")
+    group.add_argument("--steps", type=int, default=_RUN_SETTINGS["steps"].default,
+                       help="steps per trajectory (default %(default)s)")
+    group.add_argument("--trajectories", type=int,
+                       default=_RUN_SETTINGS["trajectories"].default,
+                       help="independent trajectories (default %(default)s)")
     group.add_argument("--seed", type=int,
                        help="RNG seed; drawn from OS entropy and echoed if omitted")
 
@@ -717,8 +725,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="report on one protocol chain")
     _add_protocol_flags(analyze)
-    analyze.add_argument("--horizon", type=int, default=100_000,
-                         help="finite horizon N for throughput variance (default 100000)")
+    analyze.add_argument("--horizon", type=int, default=_RUN_SETTINGS["horizon"].default,
+                         help="finite horizon N for throughput variance (default %(default)s)")
     analyze.add_argument("--exact", action="store_true",
                          help="also compute the exact finite-horizon variance")
     analyze.add_argument("--output", metavar="FILE", help="write the JSON report here")

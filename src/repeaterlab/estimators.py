@@ -140,15 +140,21 @@ def check_horizon(N: int) -> None:
         raise HorizonError(N, HORIZON_CAP)
 
 
-def check_nested(k, p) -> None:
-    """Reject levels k outside 1..MAX_NESTED_K or link probabilities p outside (0, 1].
+def nested_ok(k, p) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of the levels k in 1..MAX_NESTED_K and the link probabilities p in (0, 1].
 
-    k and p are scalars or columns; k needs an integer dtype and p a real one,
-    neither bool. The first bad entry raises.
+    k and p are scalars or columns. k needs an integer dtype and p a real one,
+    neither bool; otherwise every entry is masked out.
     """
     k, p = np.asarray(k), np.asarray(p)
     k_ok = (1 <= k) & (k <= MAX_NESTED_K) if k.dtype.kind in "iu" else np.zeros(k.shape, bool)
     p_ok = (0.0 < p) & (p <= 1.0) if p.dtype.kind in "iuf" else np.zeros(p.shape, bool)
+    return k_ok, p_ok
+
+
+def check_nested(k, p) -> None:
+    """Reject the entries of k and p that nested_ok masks out; the first bad entry raises."""
+    k_ok, p_ok = nested_ok(k, p)
     _reject("k", k, ~k_ok, f"integers 1..{MAX_NESTED_K}")
     _reject("p", p, ~p_ok, "(0, 1]")
 

@@ -22,11 +22,13 @@ from the round count. A stack of rows gives one chain whose matrix stacks
 the points' matrices, so a sweep builds and solves all of its points
 together (see markov) with no params object per point. A params object
 checks one point in its constructor and gives its slot row as .row
-(TwoLinkParams.from_row reads one back) and the names of its slots as
+(its class's from_row reads one back) and the names of its slots as
 slot_names. Only this module knows the slot layout.
 
 FAMILIES maps each protocol name to its params class, builder and closed
-forms; every per-family choice is a lookup there, by protocol_name.
+forms; every per-family choice is a lookup there, by protocol_name. The
+CLI reads a family's flags from its params fields and checks a sweep point
+through its params' from_row.
 
 The success-state row always equals the failure-state row: after delivering
 a pair the protocol restarts exactly as after a failure. Closed-form results
@@ -126,6 +128,11 @@ class MultiHeraldParams:
     def slot_names(n: int) -> tuple[str, ...]:
         """The names of .row's n slots: p1..pn, n checked before any is made."""
         return tuple(f"p{i}" for i in range(1, _check_rounds(n) + 1))
+
+    @classmethod
+    def from_row(cls, row) -> "MultiHeraldParams":
+        """The params of one slot row of multiheralded_chain, checked by the constructor."""
+        return cls(tuple(row))
 
 
 @dataclass(frozen=True)

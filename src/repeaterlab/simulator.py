@@ -192,8 +192,7 @@ def _walk_tables(cum: np.ndarray, grid: np.ndarray, success_state: int):
     n = len(cum)
     edges = np.unique(cum)
     successor = np.zeros((len(edges) + 1, n), dtype=np.intp)
-    for s, row in enumerate(cum):
-        successor[1:, s] = np.searchsorted(np.sort(row), edges, side="right")
+    successor[1:] = np.count_nonzero(cum <= edges[:, None, None], axis=2)
     successor = successor.ravel()
     below = np.searchsorted(edges, grid, side="right")
     cell_offset = (below[:-1] * n).astype(np.int32)

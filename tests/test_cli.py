@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -221,6 +222,40 @@ class TestAnalyze:
             assert json.loads(path.read_text())["protocol"] == "shs"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
+    def test_output_to_a_fifo_writes_through_it(self, capsys, tmp_path):
+        # a plain write feeds the FIFO's reader; a rename would replace the
+        # FIFO by a regular file. The reader is open before the run, so the
+        # write cannot block
+        fifo = tmp_path / "report.json"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(capsys, "analyze", "--protocol", "shs", "--pl", "0.5",
+                                 "--pr", "0.5", "--ps", "1", "--output", str(fifo))
+            chunks = []
+            while chunk := os.read(reader, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert json.loads(b"".join(chunks))["protocol"] == "shs"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.skipif(os.geteuid() != 0, reason="needs root to chown the target")
+    def test_output_keeps_another_owners_file(self, capsys, tmp_path):
+        # as a plain write would: the file keeps its inode, owner and group
+        dest = tmp_path / "report.json"
+        dest.write_text("old")
+        os.chown(dest, 1000, 1000)
+        inode = dest.stat().st_ino
+        code, _, _ = run_cli(capsys, "analyze", "--protocol", "shs", "--pl", "0.5",
+                             "--pr", "0.5", "--ps", "1", "--output", str(dest))
+        assert code == 0
+        assert (dest.stat().st_ino, dest.stat().st_uid, dest.stat().st_gid) == (inode, 1000, 1000)
+        assert json.loads(dest.read_text())["protocol"] == "shs"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
     def test_params_json_input(self, capsys, tmp_path):
         src = tmp_path / "params.json"
         src.write_text(protocols.params_to_json(
@@ -242,21 +277,34 @@ class TestAnalyze:
 
     def test_validation_exit_2(self, capsys):
         cases = [
-            ("analyze", "--protocol", "multiherald", "--probs", "0.5,1.5"),
-            ("analyze", "--protocol", "shs", "--pl", "1,1", "--pr", "1", "--ps", "1"),
-            ("analyze", "--protocol", "shs", "--pl", "0.5", "--pr", "0.5"),
-            ("analyze", "--protocol", "shs", "--pl", "0.5", "--pr", "0.5", "--ps", "1",
-             "--tau", "inf"),
-            ("analyze", "--protocol", "shs", "--pl", "0.5", "--pr", "0.5", "--ps", "1",
-             "--tau", "nan"),
-            ("analyze", "--protocol", "multiherald", "--probs", "0.5",
-             "--params-json", "x.json"),
-            ("analyze",),
+            (("--protocol", "multiherald", "--probs", "0.5,1.5"),
+             "round_probs[1] = 1.5 outside [0, 1]"),
+            (("--protocol", "shs", "--pl", "1,1", "--pr", "1", "--ps", "1"),
+             "left/right prob lists must both have length 1 or 2, got 2 and 1"),
+            # the flags a family takes come from its params fields
+            (("--protocol", "shs", "--pl", "0.5", "--pr", "0.5"),
+             "--protocol shs takes --pl, --pr, --ps; given --pl, --pr"),
+            (("--protocol", "multiherald", "--probs", "0.5", "--pl", "0.3"),
+             "--protocol multiherald takes --probs; given --probs, --pl"),
+            (("--protocol", "dhs", "--probs", "0.5"),
+             "--protocol dhs takes --pl, --pr, --ps; given --probs"),
+            (("--protocol", "multiherald"), "--protocol multiherald takes --probs; given none"),
+            (("--protocol", "shs", "--pl", "0.5,0.5", "--pr", "0.5,0.5", "--ps", "1"),
+             "--pl/--pr carry 2 heralding round(s), which is protocol 'dhs', not 'shs'"),
+            (("--protocol", "shs", "--pl", "0.5", "--pr", "0.5", "--ps", "1", "--tau", "inf"),
+             "tau must be positive and finite, got inf"),
+            (("--protocol", "shs", "--pl", "0.5", "--pr", "0.5", "--ps", "1", "--tau", "nan"),
+             "tau must be positive and finite, got nan"),
+            (("--protocol", "multiherald", "--probs", "0.5", "--params-json", "x.json"),
+             "--params-json conflicts with --protocol, --probs"),
+            ((), "either --protocol or --params-json is required"),
         ]
-        for argv in cases:
-            code, _, err = run_cli(capsys, *argv)
-            assert code == 2, argv
-            assert json.loads(err)["error"]["category"] == "validation"
+        for argv, message in cases:
+            code, out, err = run_cli(capsys, "analyze", *argv)
+            assert (code, out) == (2, ""), argv
+            error = json.loads(err)["error"]
+            assert error["category"] == "validation", argv
+            assert error["message"] == message, argv
 
     def test_round_count_is_bounded(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--protocol", "multiherald",
@@ -387,23 +435,41 @@ class TestSimulate:
         assert json.loads(dest.read_text())["config"]["seed"] == 5
 
     def test_flag_conflicts(self, capsys):
+        nested = ("--nested", "--k", "1", "--p", "0.5")
         cases = [
-            ("simulate", "--nested", "--protocol", "shs", "--k", "1", "--p", "0.5"),
-            ("simulate", "--nested", "--k", "1"),
-            ("simulate", "--k", "1", "--p", "0.5"),
-            ("simulate", "--nested", "--k", "0", "--p", "0.5"),
+            (("simulate", "--nested", "--protocol", "shs", "--k", "1", "--p", "0.5"),
+             "--nested conflicts with protocol chain flags --protocol"),
+            (("simulate", "--nested", "--k", "1"), "--nested requires --k and --p"),
+            (("simulate", "--k", "1", "--p", "0.5"), "--k, --p require --nested"),
+            (("simulate", "--nested", "--k", "0", "--p", "0.5"), "k = 0 outside integers 1..12"),
             # 2^40 links would need terabytes of draws per step
-            ("simulate", "--nested", "--k", "40", "--p", "0.5"),
+            (("simulate", "--nested", "--k", "40", "--p", "0.5"),
+             "k = 40 outside integers 1..12"),
             # chain flags that the nested engine would silently ignore
-            ("simulate", "--nested", "--k", "1", "--p", "0.5", "--pl", "0.3"),
-            ("simulate", "--nested", "--k", "1", "--p", "0.5", "--pr", "0.3"),
-            ("simulate", "--nested", "--k", "1", "--p", "0.5", "--ps", "0.3"),
-            ("simulate", "--nested", "--k", "1", "--p", "0.5", "--tau", "7"),
-            ("compare", "--nested", "--k", "1", "--p", "0.5", "--pl", "0.3", "--tau", "7"),
+            (("simulate", *nested, "--pl", "0.3"),
+             "--nested conflicts with protocol chain flags --pl"),
+            (("simulate", *nested, "--pr", "0.3"),
+             "--nested conflicts with protocol chain flags --pr"),
+            (("simulate", *nested, "--ps", "0.3"),
+             "--nested conflicts with protocol chain flags --ps"),
+            (("simulate", *nested, "--tau", "7"),
+             "--nested conflicts with protocol chain flags --tau"),
+            (("compare", *nested, "--pl", "0.3", "--tau", "7"),
+             "--nested conflicts with protocol chain flags --pl, --tau"),
+            # a field flag of another family
+            (("simulate", "--protocol", "shs", "--pl", "0.5", "--pr", "0.5"),
+             "--protocol shs takes --pl, --pr, --ps; given --pl, --pr"),
+            (("compare", "--protocol", "multiherald", "--probs", "0.5", "--pl", "0.3"),
+             "--protocol multiherald takes --probs; given --probs, --pl"),
+            (("simulate", "--protocol", "shs", "--pl", "0.5,0.5", "--pr", "0.5,0.5", "--ps", "1"),
+             "--pl/--pr carry 2 heralding round(s), which is protocol 'dhs', not 'shs'"),
         ]
-        for argv in cases:
-            code, _, err = run_cli(capsys, *argv)
-            assert code == 2, argv
+        for argv, message in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            error = json.loads(err)["error"]
+            assert error["category"] == "validation", argv
+            assert error["message"] == message, argv
 
     def test_csv_byte_identical_across_interpreters(self, tmp_path):
         # two fresh interpreters with different string hashing: the counts

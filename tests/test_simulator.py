@@ -195,6 +195,30 @@ class TestChainWalker:
                                             trajectories=6))
         assert a.tolist() != b.tolist()
 
+    @pytest.mark.parametrize("chain", [
+        *(chain_from_rows(REFERENCE_ROWS[kind]) for kind in sorted(REFERENCE_ROWS)),
+        protocols.two_link_chain(np.random.default_rng(1).uniform(size=(40, 5))),
+        protocols.two_link_chain(np.random.default_rng(2).uniform(size=(40, 3))),
+        protocols.multiheralded_chain(np.random.default_rng(3).uniform(size=(10, 64))),
+        protocols.two_link_chain(np.random.default_rng(4).integers(0, 2, (40, 5))),
+        protocols.multiheralded_chain(np.random.default_rng(5).integers(0, 2, (20, 4))),
+    ], ids=[*sorted(REFERENCE_ROWS), "dhs", "shs", "multiherald64", "dhs01", "multiherald01"])
+    def test_successor_table_against_a_search_per_state(self, chain):
+        # successor[b * n + s] = #{j : cum[s, j] <= edge b - 1}, here found by
+        # sorting each state's cumulative row and searching the edges in it
+        n = chain.n
+        cum = np.cumsum(chain.matrix.rows.reshape(-1, n, n), axis=2)
+        cum[..., -1] = 1.0
+        grid = np.arange(simulator._CELLS + 1) / simulator._CELLS
+        for point in cum:
+            edges, successor, hits, _ = simulator._walk_tables(point, grid, chain.success_state)
+            expect = np.zeros((len(edges) + 1, n), dtype=np.intp)
+            for s, row in enumerate(point):
+                expect[1:, s] = np.searchsorted(np.sort(row), edges, side="right")
+            assert successor.dtype == np.intp
+            np.testing.assert_array_equal(successor, expect.ravel())
+            np.testing.assert_array_equal(hits, expect.ravel() == chain.success_state)
+
     @pytest.mark.parametrize("kind", sorted(REFERENCE_ROWS))
     def test_matches_stepwise_reference(self, kind):
         chain = chain_from_rows(REFERENCE_ROWS[kind])
