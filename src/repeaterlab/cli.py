@@ -29,13 +29,14 @@ unit and latency in time units.
 A sweep is columnar from spec to CSV. _SweepPlan builds the grid once, as a
 (points x varied) array in itertools.product order, and from it one float
 column per protocol slot (aliases and fixed values resolved once), in the
-slot order that protocols names through the params' slot_names. It checks
-every column at once; if a point fails, the first failing point is rebuilt
-through its own check (its params' from_row, or _nested_point), so the
-error is the one that point raises alone. Each block of points then passes
-its rows to its family's builder in protocols.FAMILIES as one stack, with no
-params object per point; every chain metric, exact_var included, is one
-column of that stack, and the CSV rows come from one float table per block.
+slot order that protocols names through the params' slot_names. One check
+per protocol masks every column at once; if a point fails, the first failing
+point raises the error it would raise alone (its params' from_row, or, for
+a nested k that is integral, estimators.check_nested). Each block of points
+then passes its rows to its family's builder in protocols.FAMILIES as one
+stack, with no params object per point; every chain metric, exact_var
+included, is one column of that stack, and the CSV rows come from one float
+table per block.
 A block's simulated_mean is one engine call over all its targets,
 simulate_chain on its stacked chain or simulate_nested on its (k, p) pairs,
 which draws each trajectory stream once and returns the counts per target
@@ -49,7 +50,9 @@ argparse parser is built on the first main call and reused by later calls.
 Each rule has one owner, which this module reads rather than restates: the
 flags a family takes are its params fields in protocols.FAMILIES, through
 _FIELD_FLAGS; the run defaults and least values are _RUN_SETTINGS, for the
-flags and the sweep alike; the nested range is estimators.nested_ok.
+flags and the sweep alike (simulator.SimConfig has no defaults); the nested
+range is estimators.nested_ok; a new file's mode is the one the kernel gives
+it under the umask, which this module never reads.
 """
 from __future__ import annotations
 
@@ -61,7 +64,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 import time
 from typing import Callable, NamedTuple
 
@@ -143,19 +145,14 @@ def _atomic_write(path: str, text: str):
             with open(target, "w", newline="") as handle:
                 handle.write(text)
             return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".rlab-", suffix=".part")
+    # created as a plain write would create it, 0o666 under the umask, which the
+    # kernel applies; O_EXCL never opens a file that is already there
+    tmp = os.path.join(os.path.dirname(target), f".rlab-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        # mkstemp makes the file owner-only; give it the mode a plain write
-        # would: an existing file's own, else 0o666 under the process umask
-        # (read by setting it and back)
-        if existing is not None:
-            mode = stat.S_IMODE(existing.st_mode)
-        else:
-            umask = os.umask(0o077)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", newline="") as handle:
+            if existing is not None:
+                os.fchmod(fd, stat.S_IMODE(existing.st_mode))  # it keeps its own mode
             handle.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -381,17 +378,10 @@ def _multiherald_aliases(prob_names, fixed):
     return {slot: (slot,) for slot in slots}, slots
 
 
-def _nested_point(row) -> None:
-    """Check one nested grid point, row = (k, p)."""
-    k, p = row
-    if not (math.isfinite(k) and abs(k - round(k)) <= 1e-9):
-        raise CliValidationError(f"nesting level k must be an integer, got {k!r}")
-    estimators.check_nested(int(round(k)), p)
-
-
-def _nested_bad(rows: np.ndarray, tau) -> np.ndarray:
-    """The grid points _nested_point rejects, as a mask; fixed_params' tau (None
-    if unset) is rejected outright."""
+def _nested_check(rows: np.ndarray, tau) -> None:
+    """Reject fixed_params' tau (None if unset) outright, and the first grid
+    point (k, p) whose k is not an integral level in range or whose p is not a
+    link probability, with that point's own error."""
     if tau is not None:
         raise CliValidationError("fixed_params 'tau' does not apply to protocol 'nested'")
     k = rows[:, 0]
@@ -400,12 +390,23 @@ def _nested_bad(rows: np.ndarray, tau) -> np.ndarray:
         level = np.rint(k)
         integral = np.isfinite(k) & (np.abs(k - level) <= 1e-9)
         k_ok, p_ok = estimators.nested_ok(level.astype(np.int64), rows[:, 1])
-    return ~(integral & k_ok & p_ok)
+    bad = np.flatnonzero(~(integral & k_ok & p_ok))
+    if bad.size:
+        k, p = rows[bad[0]].tolist()
+        if not integral[bad[0]]:
+            raise CliValidationError(f"nesting level k must be an integer, got {k!r}")
+        estimators.check_nested(int(level[bad[0]]), p)
 
 
-def _probability_bad(rows: np.ndarray, tau) -> np.ndarray:
-    """The grid points whose params constructor rejects a slot: not in [0, 1] (NaN included)."""
-    return ~((0.0 <= rows) & (rows <= 1.0)).all(axis=-1)
+def _probability_check(params) -> Callable:
+    """The grid check of a chain family with this params class: the first point
+    with a slot outside [0, 1] (NaN included) raises its params' own error,
+    through from_row; fixed_params' tau is left to the chain builder."""
+    def check(rows: np.ndarray, tau) -> None:
+        bad = np.flatnonzero(~((0.0 <= rows) & (rows <= 1.0)).all(axis=-1))
+        if bad.size:
+            params.from_row(rows[bad[0]].tolist())
+    return check
 
 
 class _Protocol(NamedTuple):
@@ -417,25 +418,23 @@ class _Protocol(NamedTuple):
     # the slot names in the order of the params' .row (see protocols), which
     # is the column order of rows; None where aliases is a function
     slots: tuple | None
-    # (rows, fixed_params' tau or None) -> mask of the points that point()
-    # rejects; raises where a tau does not apply at all
-    bad: Callable
-    # one row as floats -> that point's own check; None for a chain family,
-    # whose check is its params' from_row in protocols.FAMILIES
-    point: Callable | None = None
+    # (rows, fixed_params' tau or None) -> None, or the first bad point's own
+    # error; raises where a tau does not apply at all
+    check: Callable
 
 
 _PROTOCOLS = {
-    "multiherald": _Protocol(_multiherald_aliases, None, _probability_bad),
+    "multiherald": _Protocol(_multiherald_aliases, None,
+                             _probability_check(protocols.MultiHeraldParams)),
     "shs": _Protocol(
         {"pl": ("pl",), "pr": ("pr",), "ps": ("ps",), "p": ("pl", "pr")},
-        protocols.TwoLinkParams.slot_names(1), _probability_bad),
+        protocols.TwoLinkParams.slot_names(1), _probability_check(protocols.TwoLinkParams)),
     "dhs": _Protocol(
         {"pl1": ("pl1",), "pl2": ("pl2",), "pr1": ("pr1",), "pr2": ("pr2",), "ps": ("ps",),
          "p1": ("pl1", "pr1"), "p2": ("pl2", "pr2"), "pl": ("pl1", "pl2"),
          "pr": ("pr1", "pr2"), "p": ("pl1", "pl2", "pr1", "pr2")},
-        protocols.TwoLinkParams.slot_names(2), _probability_bad),
-    "nested": _Protocol({"k": ("k",), "p": ("p",)}, ("k", "p"), _nested_bad, _nested_point),
+        protocols.TwoLinkParams.slot_names(2), _probability_check(protocols.TwoLinkParams)),
+    "nested": _Protocol({"k": ("k",), "p": ("p",)}, ("k", "p"), _nested_check),
 }
 
 
@@ -562,12 +561,8 @@ class _SweepPlan:
 
         # every point is checked before any is evaluated, so a bad point late
         # in the grid fails the run before earlier points are simulated; the
-        # first bad point raises its own error through the per-point check
-        bad = np.flatnonzero(protocol.bad(rows, tau))
-        if bad.size:
-            point = protocol.point or protocols.FAMILIES[self.protocol].params.from_row
-            point(rows[bad[0]].tolist())
-            raise AssertionError(f"grid point {bad[0]} failed no per-point check")
+        # first bad point raises its own error
+        protocol.check(rows, tau)
         self.tau = 1.0 if tau is None else tau
         self.rows = rows if self.protocol in protocols.FAMILIES else list(zip(
             np.rint(rows[:, 0]).astype(int).tolist(), rows[:, 1].tolist()))

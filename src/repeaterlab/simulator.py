@@ -11,8 +11,9 @@ by trajectory index, so results depend on the seed alone, never on batch or
 chunk sizes. Trajectories are walked in vectorized lock-step batches, one
 batch after another on the calling thread; each trajectory still consumes
 only its own stream. The Philox keys of a whole batch are derived in one
-vectorized pass, by a port of SeedSequence's hash mixing, instead of one
-SeedSequence per trajectory. Both engines take a stack of points and read
+pass, instead of one SeedSequence per trajectory: numpy's own
+SeedSequence(seed).pool, then a vectorized port of the mixing of each
+trajectory's index into it. Both engines take a stack of points and read
 each batch's streams once for all of them, through one reader
 (_stream_windows), and return int64 success counts, one row per point and
 one entry per trajectory.
@@ -68,11 +69,15 @@ _ZERO_COUNTER = np.zeros(4, np.uint64)  # Philox's start counter; copied, never 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation run shape. seed feeds per-trajectory substreams."""
+    """Simulation run shape. seed feeds per-trajectory substreams.
+
+    Every field is required: the run defaults of the command line live in
+    cli._RUN_SETTINGS alone.
+    """
 
     seed: int
-    steps_per_trajectory: int = 100_000
-    trajectories: int = 1_000
+    steps_per_trajectory: int
+    trajectories: int
 
     def __post_init__(self):
         if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
@@ -86,7 +91,7 @@ class SimConfig:
 
 
 def _hashmix(value, const: int, mult: int):
-    """SeedSequence's hash of a 32-bit word, or of a uint32 array elementwise.
+    """SeedSequence's hash of a uint32 array, elementwise, under the constant const.
 
     Returns the hashed value and the next hash constant.
     """
@@ -97,7 +102,7 @@ def _hashmix(value, const: int, mult: int):
 
 
 def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words, y possibly a uint32 array."""
+    """SeedSequence's mix of a 32-bit word x into each word of a uint32 array y."""
     result = ((_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> 16
 
@@ -107,25 +112,18 @@ def _spawn_keys(seed: int, batch: range) -> np.ndarray:
 
     Equal to SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)
     for seeds below 2^64 and indices below 2^32. The entropy is the seed's
-    two 32-bit words, zero-padded to the pool size of 4, then the index word.
-    Pooling the seed words does not depend on the index, so it runs once, on
-    Python ints; the index word's mixing and generate_state run on uint32
-    arrays over the batch, where products wrap mod 2^32 as in C.
+    words, zero-padded to the pool size of 4, then the index word. Pooling
+    the seed's words does not depend on the index: it is numpy's own
+    SeedSequence(seed).pool, which takes 16 hashes (4 words in, 12 cross
+    mixes), so the index word's hashing starts from _INIT_A * _MULT_A^16.
+    That mixing and generate_state are a port that runs on uint32 arrays over
+    the batch, where products wrap mod 2^32 as in C.
     """
-    pool, const = [], _INIT_A
-    for word in (seed & _MASK32, seed >> 32, 0, 0):
-        mixed, const = _hashmix(word, const, _MULT_A)
-        pool.append(mixed)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], mixed)
     index = np.arange(batch.start, batch.stop, dtype=np.uint32)
-    words, out_const = [], _INIT_B
-    for dst in range(4):
+    const, words, out_const = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32, [], _INIT_B
+    for word in np.random.SeedSequence(seed).pool.tolist():
         mixed, const = _hashmix(index, const, _MULT_A)
-        word, out_const = _hashmix(_mix(pool[dst], mixed), out_const, _MULT_B)
+        word, out_const = _hashmix(_mix(word, mixed), out_const, _MULT_B)
         words.append(word)
     # generate_state's uint64 words are pairs of 32-bit words, low word first
     return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)

@@ -167,13 +167,17 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["022", "077"])
-    def test_output_file_mode_follows_umask(self, capsys, tmp_path, umask, mode):
-        # as a plain write would make it, not mkstemp's owner-only 0600
+    def test_output_file_mode_follows_umask(self, capsys, tmp_path, monkeypatch, umask, mode):
+        # as a plain write would make it, not owner-only 0600; the kernel
+        # applies the umask, so the write must not read it: setting the
+        # process-wide umask to read it back would change it for every thread
         dest = tmp_path / "report.json"
         old = os.umask(umask)
         try:
-            code, _, _ = run_cli(capsys, "analyze", "--protocol", "shs", "--pl", "0.5",
-                                 "--pr", "0.5", "--ps", "1", "--output", str(dest))
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", lambda mask: pytest.fail("os.umask was called"))
+                code, _, _ = run_cli(capsys, "analyze", "--protocol", "shs", "--pl", "0.5",
+                                     "--pr", "0.5", "--ps", "1", "--output", str(dest))
         finally:
             os.umask(old)
         assert code == 0
@@ -839,6 +843,26 @@ class TestSweep:
         assert code == 2 and not dest.exists()
         error = json.loads(err)["error"]
         assert (error["type"], error["message"]) == (type(own.value).__name__, str(own.value))
+
+    @pytest.mark.parametrize("payload, first", [
+        ({"protocol": "shs", "varied_params": [{"name": "ps", "start": 0, "stop": 1, "count": 2}],
+          "fixed_params": {"p": 0.5}, "outputs": ["equilibrium"]}, "0,0"),
+        ({"protocol": "multiherald",
+          "varied_params": [{"name": "p1", "start": 0, "stop": 0.5, "count": 2}],
+          "fixed_params": {"p2": 0.5, "horizon": 100},
+          "outputs": ["equilibrium", "naive_var", "exact_var"]}, "0,0,0,0"),
+        ({"protocol": "dhs", "varied_params": [{"name": "ps", "start": 0, "stop": 1, "count": 2}],
+          "fixed_params": {"p": 0.5}, "outputs": ["equilibrium"]}, "0,0"),
+    ], ids=["shs-ps-0", "multiherald-p1-0", "dhs-ps-0"])
+    def test_unreachable_success_has_rate_zero(self, capsys, tmp_path, payload, first):
+        # the success state cannot be reached from the start state, so I - Q
+        # of the success state is singular; the equilibrium's solve on P still
+        # gives it probability 0, and the sweep succeeds
+        spec = self.write_spec(tmp_path, payload)
+        dest = tmp_path / "grid.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--spec", spec, "--output", str(dest))
+        assert code == 0
+        assert dest.read_text().splitlines()[1] == first
 
     def test_non_finite_cell_exits_3(self, capsys, tmp_path):
         # tau^2 underflows to 0, so naive_var divides by zero

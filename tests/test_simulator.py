@@ -75,29 +75,31 @@ class ReplayGenerator:
 
 
 class TestConfig:
+    RUN = {"steps_per_trajectory": 10, "trajectories": 1}
+
     def test_defaults(self):
-        cfg = SimConfig(seed=7)
-        assert cfg.steps_per_trajectory == 100_000
-        assert cfg.trajectories == 1_000
+        # none: the command line's run defaults live in cli._RUN_SETTINGS alone
+        with pytest.raises(TypeError):
+            SimConfig(seed=7)
 
     def test_validation(self):
         with pytest.raises(ArgumentRangeError):
-            SimConfig(seed=-1)
+            SimConfig(seed=-1, **self.RUN)
         with pytest.raises(ArgumentRangeError):
-            SimConfig(seed=2**64)
+            SimConfig(seed=2**64, **self.RUN)
         for seed in (True, 1.0, np.float64(1), np.int64(-1), "1"):
             with pytest.raises(ArgumentRangeError):
-                SimConfig(seed=seed)
+                SimConfig(seed=seed, **self.RUN)
         with pytest.raises(ArgumentRangeError):
-            SimConfig(seed=1, steps_per_trajectory=0)
+            SimConfig(seed=1, steps_per_trajectory=0, trajectories=1)
         with pytest.raises(ArgumentRangeError):
-            SimConfig(seed=1, trajectories=0)
+            SimConfig(seed=1, steps_per_trajectory=10, trajectories=0)
 
     @pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), True, False, "3", None])
     @pytest.mark.parametrize("field", ["steps_per_trajectory", "trajectories"])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ArgumentRangeError):
-            SimConfig(seed=1, **{field: value})
+            SimConfig(seed=1, **{**self.RUN, field: value})
 
     def test_numpy_integers_accepted(self):
         cfg = SimConfig(seed=1, steps_per_trajectory=np.int64(5), trajectories=np.uint32(2))
@@ -108,14 +110,15 @@ class TestConfig:
             simulate_nested([(2, 0.4)], cfg))
 
     def test_full_seed_range_accepted(self):
-        SimConfig(seed=0)
-        SimConfig(seed=2**64 - 1)
+        SimConfig(seed=0, **self.RUN)
+        SimConfig(seed=2**64 - 1, **self.RUN)
 
     def test_trajectory_cap(self):
         # spawn keys are one 32-bit word, so the last index is 2^32 - 1
-        assert SimConfig(seed=1, trajectories=2**32).trajectories == simulator.MAX_TRAJECTORIES
+        assert SimConfig(seed=1, steps_per_trajectory=10,
+                         trajectories=2**32).trajectories == simulator.MAX_TRAJECTORIES
         with pytest.raises(ArgumentRangeError):
-            SimConfig(seed=1, trajectories=2**32 + 1)
+            SimConfig(seed=1, steps_per_trajectory=10, trajectories=2**32 + 1)
 
 
 class TestSpawnKeys:
@@ -135,7 +138,7 @@ class TestSpawnKeys:
                                           err_msg=f"seed {seed}")
 
     def test_generators_match_numpy_streams(self):
-        cfg = SimConfig(seed=2**40 + 3)
+        cfg = SimConfig(seed=2**40 + 3, steps_per_trajectory=9, trajectories=1030)
         batch = range(1020, 1030)
         for i, gen in zip(batch, simulator._trajectory_generators(cfg, batch)):
             np.testing.assert_array_equal(gen.random(9), reference_generator(cfg, i).random(9))
